@@ -5,9 +5,9 @@
 //! production web server on the other side of the Internet".  Client
 //! network characteristics come from [`mfc_simnet::WideAreaModel`], control
 //! messages travel over a lossy [`mfc_simnet::ControlChannel`], and the
-//! target is either a single [`mfc_webserver::ServerEngine`] or a
-//! load-balanced [`mfc_webserver::ServerCluster`], optionally serving
-//! background traffic while the MFC runs.
+//! target is a load-balanced [`mfc_webserver::ServerCluster`] (a single
+//! machine is a one-replica cluster), optionally defended and optionally
+//! serving background traffic while the MFC runs.
 
 use std::collections::HashMap;
 
@@ -15,10 +15,12 @@ use mfc_dynamics::{DefenseConfig, DefenseStack};
 use mfc_simcore::{SimDuration, SimRng, SimTime};
 use mfc_simnet::{ControlChannel, PopulationProfile, WideAreaModel};
 use mfc_topology::TopologySpec;
+use mfc_webserver::engine::RunResult;
 use mfc_webserver::{
-    BackgroundTraffic, CacheState, ContentCatalog, RequestClass, RequestStatus, ServerCluster,
-    ServerConfig, ServerEngine, ServerRequest,
+    BackgroundTraffic, CatalogSampler, ContentCatalog, NullControl, RequestClass, RequestStatus,
+    ServerCluster, ServerConfig, ServerControl, ServerRequest,
 };
+use mfc_workload::{WorkloadSpec, WorkloadStream};
 use serde::{Deserialize, Serialize};
 
 use crate::backend::{BaseMeasurement, MfcBackend};
@@ -146,14 +148,6 @@ impl SimTargetSpec {
     }
 }
 
-enum Target {
-    Single {
-        engine: ServerEngine,
-        cache: CacheState,
-    },
-    Cluster(ServerCluster),
-}
-
 /// Interned identifier of a request path within one [`SimBackend`].
 ///
 /// Base-time bookkeeping is on the per-request hot path: every epoch command
@@ -194,9 +188,10 @@ pub struct SimBackend {
     spec: SimTargetSpec,
     wan: WideAreaModel,
     control: ControlChannel,
-    target: Target,
+    /// The serving replicas (one for a single machine).
+    cluster: ServerCluster,
     /// The runtime defense stack, kept across epochs; `None` for static
-    /// targets.
+    /// targets, which run under [`NullControl`].
     defense: Option<DefenseStack>,
     clock: SimTime,
     rng: SimRng,
@@ -249,22 +244,8 @@ impl SimBackend {
             "autoscaling behind a shared-path topology is not modelled: transit links are \
              instantiated per replica, so scaling out would multiply the shared capacity"
         );
-        let topology = spec.topology.share_across(replicas);
-        // A defended target always runs through the cluster's controlled
-        // sweep (an autoscaler needs replica routing even when it starts
-        // from one machine).
-        let target = if replicas > 1 || defended {
-            Target::Cluster(
-                ServerCluster::new(spec.server.clone(), spec.catalog.clone(), replicas)
-                    .with_topology(topology),
-            )
-        } else {
-            Target::Single {
-                engine: ServerEngine::new(spec.server.clone(), spec.catalog.clone())
-                    .with_topology(topology),
-                cache: CacheState::new(),
-            }
-        };
+        let cluster = ServerCluster::new(spec.server.clone(), spec.catalog.clone(), replicas)
+            .with_topology(spec.topology.share_across(replicas));
         let defense = if defended {
             Some(spec.defenses.build())
         } else {
@@ -274,7 +255,7 @@ impl SimBackend {
             spec,
             wan,
             control,
-            target,
+            cluster,
             defense,
             clock: SimTime::ZERO,
             rng,
@@ -310,15 +291,19 @@ impl SimBackend {
         }
     }
 
-    fn run_target(&mut self, requests: Vec<ServerRequest>) -> mfc_webserver::engine::RunResult {
-        match (&mut self.target, &mut self.defense) {
-            (Target::Single { engine, cache }, None) => engine.run(requests, cache),
-            (Target::Single { engine, cache }, Some(stack)) => {
-                engine.run_controlled(requests, cache, stack)
-            }
-            (Target::Cluster(cluster), None) => cluster.run(requests),
-            (Target::Cluster(cluster), Some(stack)) => cluster.run_controlled(requests, stack),
-        }
+    /// Streams time-ordered requests through the cluster under its
+    /// defenses, or under [`NullControl`] when it has none.  Outcomes come
+    /// back in arrival order.
+    fn serve(
+        cluster: &mut ServerCluster,
+        defense: &mut Option<DefenseStack>,
+        requests: impl Iterator<Item = ServerRequest>,
+    ) -> RunResult {
+        let control: &mut dyn ServerControl = match defense {
+            Some(stack) => stack,
+            None => &mut NullControl,
+        };
+        cluster.run_controlled_streamed(requests, control)
     }
 
     fn alloc_id(&mut self) -> u64 {
@@ -378,7 +363,11 @@ impl MfcBackend for SimBackend {
             client_addr: client.0,
             background: false,
         };
-        let result = self.run_target(vec![server_request]);
+        let result = Self::serve(
+            &mut self.cluster,
+            &mut self.defense,
+            std::iter::once(server_request),
+        );
         let outcome = &result.outcomes[0];
         let response_time = outcome.completion.saturating_since(send_time);
         let path_id = self.paths.intern(&request.path);
@@ -437,40 +426,54 @@ impl MfcBackend for SimBackend {
             ));
         }
 
-        // Background traffic competes over the whole epoch window.  A full
-        // workload spec (sessions, diurnal/MMPP/flash-crowd arrivals,
-        // traces) streams through the shared merged-heap generator; the
-        // flat `background` model keeps its original draw stream.
+        // Background traffic competes over the whole epoch window, streamed
+        // lazily into the sweep.  A full workload spec (sessions,
+        // diurnal/MMPP/flash-crowd arrivals, traces) forks one RNG per
+        // source; the flat `background` model drives its single source from
+        // the epoch's RNG directly, keeping its original draw stream.
         let window_end = last_arrival + plan.timeout;
-        let mut bg_rng = self.rng.fork_indexed("background", origin.as_micros());
-        let background: Vec<ServerRequest> = match &self.spec.workload {
-            Some(workload) if !workload.is_empty() => mfc_workload::WorkloadStream::new(
-                workload,
-                origin,
-                window_end,
-                1_000_000_000 + self.next_request_id,
-                &bg_rng,
-                mfc_webserver::CatalogSampler::background(&self.spec.catalog),
-            )
-            .collect(),
-            _ => self.spec.background.generate(
-                &self.spec.catalog,
-                origin,
-                window_end,
-                1_000_000_000 + self.next_request_id,
-                &mut bg_rng,
-            ),
+        let bg_rng = self.rng.fork_indexed("background", origin.as_micros());
+        let id_base = 1_000_000_000 + self.next_request_id;
+        let sampler = CatalogSampler::background(&self.spec.catalog);
+        let flat: WorkloadSpec;
+        let background = match &self.spec.workload {
+            Some(workload) if !workload.is_empty() => {
+                WorkloadStream::new(workload, origin, window_end, id_base, &bg_rng, sampler)
+            }
+            _ => {
+                flat = self.spec.background.workload_spec();
+                WorkloadStream::with_source_rngs(
+                    &flat,
+                    origin,
+                    window_end,
+                    id_base,
+                    vec![bg_rng],
+                    sampler,
+                )
+            }
         };
-        let background_requests = background.len() as u64;
+
+        // Merge the MFC requests (stably sorted by arrival) into the
+        // background stream; on equal arrivals the MFC request goes first.
+        mfc_requests.sort_by_key(|r| r.arrival);
+        let mut mfc = mfc_requests.into_iter().peekable();
+        let mut background = background.peekable();
+        let merged = std::iter::from_fn(|| match (mfc.peek(), background.peek()) {
+            (Some(m), Some(b)) if b.arrival < m.arrival => background.next(),
+            (Some(_), _) => mfc.next(),
+            (None, _) => background.next(),
+        });
+        let result = Self::serve(&mut self.cluster, &mut self.defense, merged);
+        let background_requests = result.outcomes.iter().filter(|o| o.background).count() as u64;
         self.background_served += background_requests;
 
-        let mut all_requests = mfc_requests;
-        all_requests.extend(background);
-        let result = self.run_target(all_requests);
-
-        // Index outcomes by request id.
-        let outcome_by_id: HashMap<u64, &mfc_webserver::RequestOutcome> =
-            result.outcomes.iter().map(|o| (o.id, o)).collect();
+        // Index the MFC outcomes by request id.
+        let outcome_by_id: HashMap<u64, &mfc_webserver::RequestOutcome> = result
+            .outcomes
+            .iter()
+            .filter(|o| !o.background)
+            .map(|o| (o.id, o))
+            .collect();
 
         let mut observations = Vec::with_capacity(issued.len());
         for (id, client, path_id, send_time) in &issued {

@@ -192,8 +192,8 @@ impl DefenseConfig {
 }
 
 /// The runtime composition of a target's defenses, host-able by
-/// [`mfc_webserver::ServerEngine::run_controlled`] and
-/// [`mfc_webserver::ServerCluster::run_controlled`].
+/// [`mfc_webserver::ServerCluster::run_controlled`] and
+/// [`mfc_webserver::ServerCluster::run_controlled_streamed`].
 ///
 /// Verdicts compose conservatively: any policy's `Shed` wins outright, and
 /// concurrent throttles clamp to the lowest rate.  The stack is carried

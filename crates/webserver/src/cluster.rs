@@ -8,6 +8,16 @@
 //! arrangement: a front-end balancer distributes arrivals over `n`
 //! identical [`ServerEngine`]s, each with its own caches, and merges the
 //! results.
+//!
+//! This module also holds the drive (`drive_controlled_stream`), the one
+//! loop that steps [`EngineSession`]s through a run.  Every entry point is
+//! a thin wrapper over it: [`ServerCluster::run_controlled_streamed`] feeds
+//! it a time-ordered stream, [`ServerCluster::run_controlled`] and the
+//! static [`ServerCluster::run`] a batch (sorted by arrival, outcomes put
+//! back in submission order), and [`ServerEngine::run`] /
+//! [`ServerEngine::run_streamed`] a one-replica fleet.  Static runs use
+//! [`NullControl`].  Round robin rotates over the replicas in the order the
+//! drive admits requests, i.e. arrival order.
 
 use mfc_simcore::{SimDuration, SimTime, TimeWeighted};
 use mfc_simnet::Bandwidth;
@@ -97,7 +107,7 @@ impl ServerCluster {
         self
     }
 
-    /// Number of replicas the cluster was configured with.  The plain
+    /// Number of replicas the cluster was configured with.  The static
     /// [`ServerCluster::run`] always spreads over all of them.
     pub fn replicas(&self) -> usize {
         self.replicas
@@ -124,7 +134,7 @@ impl ServerCluster {
     /// actions take effect immediately for subsequent arrivals: scale-up
     /// replicas start cold, scale-down replicas finish their in-flight
     /// work but stop receiving traffic.  The active count persists to the
-    /// next run.
+    /// next run.  Outcomes are returned in submission order.
     pub fn run_controlled(
         &mut self,
         requests: Vec<ServerRequest>,
@@ -135,7 +145,6 @@ impl ServerCluster {
             &mut self.caches,
             &mut self.active,
             self.policy,
-            /*allow_scaling=*/ true,
             requests,
             control,
         )
@@ -163,149 +172,49 @@ impl ServerCluster {
             &mut self.caches,
             &mut self.active,
             self.policy,
-            /*allow_scaling=*/ true,
             requests.into_iter(),
             control,
         )
     }
 
-    /// Processes one batch of requests, spreading them over the replicas,
-    /// and returns the merged result.
+    /// Processes one batch of requests on the static cluster — every
+    /// configured replica routable, no control loop — and returns the
+    /// merged result with outcomes in submission order.
     ///
-    /// Outcomes are returned in the order requests were submitted, exactly
-    /// like [`ServerEngine::run`].  The utilization report aggregates the
-    /// replicas: CPU utilization and worker occupancy are averaged, byte and
-    /// operation counters are summed, and peak memory is the maximum of any
-    /// single replica (that is the machine that would start swapping first).
+    /// The utilization report aggregates the replicas: CPU utilization and
+    /// worker occupancy are averaged, byte and operation counters are
+    /// summed, and peak memory is the maximum of any single replica (that
+    /// is the machine that would start swapping first).
     pub fn run(&mut self, requests: Vec<ServerRequest>) -> RunResult {
-        if self.policy == BalancePolicy::LeastOutstanding {
-            // Least-connections routing needs the replicas' live in-flight
-            // counts, so it always runs through the time-ordered sweep.
-            let mut active = self.replicas;
-            return drive_controlled(
-                &self.engine,
-                &mut self.caches,
-                &mut active,
-                self.policy,
-                /*allow_scaling=*/ false,
-                requests,
-                &mut NullControl,
-            );
-        }
-        let replica_count = self.replicas;
-        let mut per_replica: Vec<Vec<ServerRequest>> = vec![Vec::new(); replica_count];
-        let mut placement: Vec<(usize, usize)> = Vec::with_capacity(requests.len());
-        for (submit_idx, req) in requests.into_iter().enumerate() {
-            let replica = match self.policy {
-                BalancePolicy::RoundRobin => submit_idx % replica_count,
-                BalancePolicy::HashById => (req.id as usize) % replica_count,
-                BalancePolicy::LeastOutstanding => unreachable!("handled above"),
-            };
-            placement.push((replica, per_replica[replica].len()));
-            per_replica[replica].push(req);
-        }
-
-        let mut replica_results: Vec<RunResult> = Vec::with_capacity(replica_count);
-        for (replica, batch) in per_replica.into_iter().enumerate() {
-            let result = self.engine.run(batch, &mut self.caches[replica]);
-            replica_results.push(result);
-        }
-
-        // Re-assemble outcomes in submission order.
-        let mut outcomes = Vec::with_capacity(placement.len());
-        for &(replica, local_idx) in &placement {
-            outcomes.push(replica_results[replica].outcomes[local_idx].clone());
-        }
-
-        let mut arrival_log = Vec::new();
-        for result in &replica_results {
-            arrival_log.extend(result.arrival_log.iter().cloned());
-        }
-        arrival_log.sort_by_key(|r| (r.arrival, r.id));
-
-        let window = replica_results
-            .iter()
-            .map(|r| r.utilization.window)
-            .max()
-            .unwrap_or(SimDuration::ZERO);
-        let n = replica_results.len() as f64;
-        let utilization = UtilizationReport {
-            window,
-            cpu_utilization: replica_results
-                .iter()
-                .map(|r| r.utilization.cpu_utilization)
-                .sum::<f64>()
-                / n,
-            peak_memory_bytes: replica_results
-                .iter()
-                .map(|r| r.utilization.peak_memory_bytes)
-                .max()
-                .unwrap_or(0),
-            mean_memory_bytes: replica_results
-                .iter()
-                .map(|r| r.utilization.mean_memory_bytes)
-                .sum::<f64>()
-                / n,
-            network_bytes_sent: replica_results
-                .iter()
-                .map(|r| r.utilization.network_bytes_sent)
-                .sum(),
-            disk_operations: replica_results
-                .iter()
-                .map(|r| r.utilization.disk_operations)
-                .sum(),
-            mean_busy_workers: replica_results
-                .iter()
-                .map(|r| r.utilization.mean_busy_workers)
-                .sum::<f64>()
-                / n,
-            peak_busy_workers: replica_results
-                .iter()
-                .map(|r| r.utilization.peak_busy_workers)
-                .max()
-                .unwrap_or(0),
-            refused_requests: replica_results
-                .iter()
-                .map(|r| r.utilization.refused_requests)
-                .sum(),
-            completed_requests: replica_results
-                .iter()
-                .map(|r| r.utilization.completed_requests)
-                .sum(),
-            shed_requests: 0,
-            throttled_requests: 0,
-            link_capacity: replica_results
-                .iter()
-                .map(|r| r.utilization.link_capacity)
-                .sum(),
-        };
-
-        RunResult {
-            outcomes,
-            utilization,
-            arrival_log,
-        }
+        let mut active = self.replicas;
+        drive_controlled(
+            &self.engine,
+            &mut self.caches,
+            &mut active,
+            self.policy,
+            requests,
+            &mut NullControl,
+        )
     }
 }
 
-/// Where one submitted request ended up in a controlled run.
+/// Where one fed request ended up.
 enum Placement {
-    /// Routed to `(replica, local submission index)`.
-    Routed(usize, usize),
+    /// Routed to this replica; its outcome is that replica's next one.
+    Routed(usize),
     /// Shed at the front door; the 503 outcome is recorded directly.
     Shed(RequestOutcome),
 }
 
-/// Mutable state of one controlled sweep: the per-replica sessions, the
-/// capacity overrides, and the front-door counters.  Methods scope the
-/// borrows between the sessions, the cache pool and the overrides.
+/// Mutable state of one sweep: the per-replica sessions, the capacity
+/// overrides, and the front-door counters.  Methods scope the borrows
+/// between the sessions, the cache pool and the overrides.
 struct DriveState<'e, 'c> {
     engine: &'e ServerEngine,
     caches: &'c mut Vec<CacheState>,
     sessions: Vec<EngineSession<'e>>,
     /// Replicas currently routable.
     active: usize,
-    allow_scaling: bool,
     /// Capacity overrides installed by ControlActions; applied to existing
     /// sessions immediately and to later-created replicas at birth.
     link_override: Option<Bandwidth>,
@@ -326,7 +235,6 @@ impl<'e, 'c> DriveState<'e, 'c> {
         engine: &'e ServerEngine,
         caches: &'c mut Vec<CacheState>,
         active: usize,
-        allow_scaling: bool,
         t0: SimTime,
     ) -> Self {
         let initial_capacity = active.max(1) as f64 * engine.config().access_link;
@@ -335,7 +243,6 @@ impl<'e, 'c> DriveState<'e, 'c> {
             caches,
             sessions: Vec::new(),
             active: active.max(1),
-            allow_scaling,
             link_override: None,
             cpu_override: None,
             arrivals: 0,
@@ -410,10 +317,8 @@ impl<'e, 'c> DriveState<'e, 'c> {
     fn apply(&mut self, action: ControlAction, now: SimTime) {
         match action {
             ControlAction::SetReplicas(n) => {
-                if self.allow_scaling {
-                    self.active = n.max(1);
-                    self.capacity_series.set(now, self.aggregate_capacity());
-                }
+                self.active = n.max(1);
+                self.capacity_series.set(now, self.aggregate_capacity());
             }
             ControlAction::SetAccessLink(bw) => {
                 self.link_override = Some(bw);
@@ -464,17 +369,16 @@ impl<'e, 'c> DriveState<'e, 'c> {
     }
 }
 
-/// The time-ordered sweep shared by [`ServerCluster::run_controlled`] and
-/// [`ServerEngine::run_controlled`]: requests are fed to per-replica
-/// [`EngineSession`]s in arrival order, with the control loop's telemetry
-/// ticks interleaved deterministically between arrivals and during the
-/// drain.
+/// The batch form of [`drive_controlled_stream`], behind
+/// [`ServerEngine::run`], [`ServerCluster::run`] and
+/// [`ServerCluster::run_controlled`]: sorts the requests by (arrival,
+/// submission index), drives them, and reports outcomes in submission
+/// order.
 pub(crate) fn drive_controlled(
     engine: &ServerEngine,
     caches: &mut Vec<CacheState>,
     active: &mut usize,
     policy: BalancePolicy,
-    allow_scaling: bool,
     requests: Vec<ServerRequest>,
     control: &mut dyn ServerControl,
 ) -> RunResult {
@@ -485,17 +389,9 @@ pub(crate) fn drive_controlled(
     let sorted = order
         .iter()
         .map(|&i| slots[i].take().expect("each request consumed once"));
-    let mut result = drive_controlled_stream(
-        engine,
-        caches,
-        active,
-        policy,
-        allow_scaling,
-        sorted,
-        control,
-    );
-    // The streamed core reports outcomes in fed (arrival) order; put them
-    // back in submission order.
+    let mut result = drive_controlled_stream(engine, caches, active, policy, sorted, control);
+    // The drive reports outcomes in fed (arrival) order; put them back in
+    // submission order.
     let mut outcomes: Vec<Option<RequestOutcome>> = (0..total).map(|_| None).collect();
     for (fed_index, outcome) in result.outcomes.drain(..).enumerate() {
         outcomes[order[fed_index]] = Some(outcome);
@@ -507,15 +403,26 @@ pub(crate) fn drive_controlled(
     result
 }
 
-/// The iterator-driven core of the controlled sweep: requests are consumed
-/// lazily in arrival order (a workload stream never has to materialize),
-/// and outcomes are reported in the order they were fed.
+/// The drive: the one loop that steps [`EngineSession`]s through a run.
+///
+/// Every simulated server run comes through here — a single server is a
+/// one-replica fleet, a static target runs under [`NullControl`].
+/// Requests are consumed lazily in arrival order (a workload stream never
+/// has to materialize); each is offered to the control loop, routed over
+/// the active replicas and pushed into that replica's session, with the
+/// control's telemetry ticks interleaved deterministically between
+/// arrivals and during the drain.  Outcomes are reported in the order the
+/// requests were fed.
+///
+/// Tie rule: before a request arriving at `t` is admitted, every session
+/// processes all of its events at or before `t`, so work that completes
+/// at `t` frees its worker (or queue slot) before the arrival at `t`
+/// claims one.  A tick due at `t` fires before the arrival at `t`.
 pub(crate) fn drive_controlled_stream(
     engine: &ServerEngine,
     caches: &mut Vec<CacheState>,
     active: &mut usize,
     policy: BalancePolicy,
-    allow_scaling: bool,
     requests: impl Iterator<Item = ServerRequest>,
     control: &mut dyn ServerControl,
 ) -> RunResult {
@@ -527,7 +434,7 @@ pub(crate) fn drive_controlled_stream(
     let tick = control.tick_interval();
     let t0 = requests.peek().map(|r| r.arrival).unwrap_or(SimTime::ZERO);
     let mut next_tick = tick.map(|d| t0 + d);
-    let mut drive = DriveState::new(engine, caches, *active, allow_scaling, t0);
+    let mut drive = DriveState::new(engine, caches, *active, t0);
 
     // Arrival sweep.
     let mut last_arrival = t0;
@@ -535,7 +442,7 @@ pub(crate) fn drive_controlled_stream(
         let arrival = req.arrival;
         debug_assert!(
             arrival >= last_arrival,
-            "controlled stream must be fed in arrival order"
+            "requests must be fed in arrival order"
         );
         last_arrival = arrival;
         while let (Some(d), Some(at)) = (tick, next_tick) {
@@ -572,7 +479,7 @@ pub(crate) fn drive_controlled_stream(
                 }
                 let replica = drive.route(policy, &mut rr_counter, &req);
                 drive.ensure_session(replica);
-                placement.push(Placement::Routed(replica, drive.sessions[replica].pushed()));
+                placement.push(Placement::Routed(replica));
                 drive.sessions[replica].push_request(req);
             }
         }
@@ -613,90 +520,61 @@ pub(crate) fn drive_controlled_stream(
         replica_results.push(result);
     }
 
-    let mut outcomes = Vec::with_capacity(placement.len());
-    for slot in placement {
-        match slot {
-            Placement::Routed(replica, local) => {
-                outcomes.push(replica_results[replica].outcomes[local].clone());
-            }
-            Placement::Shed(outcome) => outcomes.push(outcome),
-        }
-    }
+    // A session reports outcomes in push order, so each replica's outcomes
+    // are consumed front to back as the placements name it.
+    let mut replica_outcomes: Vec<_> = replica_results
+        .iter_mut()
+        .map(|r| std::mem::take(&mut r.outcomes).into_iter())
+        .collect();
+    let outcomes = placement
+        .into_iter()
+        .map(|slot| match slot {
+            Placement::Routed(replica) => replica_outcomes[replica]
+                .next()
+                .expect("one outcome per routed request"),
+            Placement::Shed(outcome) => outcome,
+        })
+        .collect();
 
     let mut arrival_log = shed_log;
     for result in &replica_results {
         arrival_log.extend(result.arrival_log.iter().cloned());
     }
     arrival_log.sort_by_key(|r| (r.arrival, r.id));
-    let n = replica_results.len() as f64;
-    let utilization = if replica_results.is_empty() {
-        UtilizationReport {
-            window: SimDuration::ZERO,
-            cpu_utilization: 0.0,
-            peak_memory_bytes: 0,
-            mean_memory_bytes: 0.0,
-            network_bytes_sent: 0,
-            disk_operations: 0,
-            mean_busy_workers: 0.0,
-            peak_busy_workers: 0,
-            refused_requests: 0,
-            completed_requests: 0,
-            shed_requests: shed_count,
-            throttled_requests: throttled_count,
-            link_capacity,
+    // Means average the replicas that served; an empty run reports zeros.
+    let reports: Vec<&UtilizationReport> = replica_results.iter().map(|r| &r.utilization).collect();
+    let mean = |field: fn(&UtilizationReport) -> f64| {
+        if reports.is_empty() {
+            0.0
+        } else {
+            reports.iter().map(|u| field(u)).sum::<f64>() / reports.len() as f64
         }
-    } else {
-        UtilizationReport {
-            window: replica_results
-                .iter()
-                .map(|r| r.utilization.window)
-                .max()
-                .unwrap_or(SimDuration::ZERO),
-            cpu_utilization: replica_results
-                .iter()
-                .map(|r| r.utilization.cpu_utilization)
-                .sum::<f64>()
-                / n,
-            peak_memory_bytes: replica_results
-                .iter()
-                .map(|r| r.utilization.peak_memory_bytes)
-                .max()
-                .unwrap_or(0),
-            mean_memory_bytes: replica_results
-                .iter()
-                .map(|r| r.utilization.mean_memory_bytes)
-                .sum::<f64>()
-                / n,
-            network_bytes_sent: replica_results
-                .iter()
-                .map(|r| r.utilization.network_bytes_sent)
-                .sum(),
-            disk_operations: replica_results
-                .iter()
-                .map(|r| r.utilization.disk_operations)
-                .sum(),
-            mean_busy_workers: replica_results
-                .iter()
-                .map(|r| r.utilization.mean_busy_workers)
-                .sum::<f64>()
-                / n,
-            peak_busy_workers: replica_results
-                .iter()
-                .map(|r| r.utilization.peak_busy_workers)
-                .max()
-                .unwrap_or(0),
-            refused_requests: replica_results
-                .iter()
-                .map(|r| r.utilization.refused_requests)
-                .sum(),
-            completed_requests: replica_results
-                .iter()
-                .map(|r| r.utilization.completed_requests)
-                .sum(),
-            shed_requests: shed_count,
-            throttled_requests: throttled_count,
-            link_capacity,
-        }
+    };
+    let total = |field: fn(&UtilizationReport) -> u64| reports.iter().map(|u| field(u)).sum();
+    let peak =
+        |field: fn(&UtilizationReport) -> u64| reports.iter().map(|u| field(u)).max().unwrap_or(0);
+    let utilization = UtilizationReport {
+        window: reports
+            .iter()
+            .map(|u| u.window)
+            .max()
+            .unwrap_or(SimDuration::ZERO),
+        cpu_utilization: mean(|u| u.cpu_utilization),
+        peak_memory_bytes: peak(|u| u.peak_memory_bytes),
+        mean_memory_bytes: mean(|u| u.mean_memory_bytes),
+        network_bytes_sent: total(|u| u.network_bytes_sent),
+        disk_operations: total(|u| u.disk_operations),
+        mean_busy_workers: mean(|u| u.mean_busy_workers),
+        peak_busy_workers: reports
+            .iter()
+            .map(|u| u.peak_busy_workers)
+            .max()
+            .unwrap_or(0),
+        refused_requests: total(|u| u.refused_requests),
+        completed_requests: total(|u| u.completed_requests),
+        shed_requests: shed_count,
+        throttled_requests: throttled_count,
+        link_capacity,
     };
 
     RunResult {
@@ -925,35 +803,46 @@ mod tests {
 
     #[test]
     fn controlled_run_with_null_control_matches_plain_run_shape() {
-        let requests: Vec<ServerRequest> = (0..12).map(head).collect();
-        let mut plain = ServerCluster::new(
+        let run_both = |config: ServerConfig, requests: Vec<ServerRequest>| {
+            let catalog = ContentCatalog::lab_validation();
+            let plain =
+                ServerCluster::new(config.clone(), catalog.clone(), 3).run(requests.clone());
+            let controlled = ServerCluster::new(config, catalog, 3)
+                .run_controlled(requests, &mut crate::control::NullControl);
+            (plain, controlled)
+        };
+
+        let (plain, controlled) = run_both(
             ServerConfig::commercial_frontend(),
-            ContentCatalog::typical_site(1),
-            3,
+            (0..12).map(head).collect(),
         );
-        let plain_result = plain.run(requests.clone());
-        let mut controlled = ServerCluster::new(
-            ServerConfig::commercial_frontend(),
-            ContentCatalog::typical_site(1),
-            3,
-        );
-        let controlled_result =
-            controlled.run_controlled(requests, &mut crate::control::NullControl);
-        assert_eq!(
-            plain_result.outcomes.len(),
-            controlled_result.outcomes.len()
-        );
-        assert_eq!(controlled_result.utilization.completed_requests, 12);
-        assert_eq!(controlled_result.utilization.shed_requests, 0);
-        // Round-robin over simultaneous arrivals routes identically in both
-        // paths, so the outcomes agree exactly.
-        for (a, b) in plain_result
-            .outcomes
+        assert_eq!(plain.outcomes.len(), controlled.outcomes.len());
+        assert_eq!(controlled.utilization.completed_requests, 12);
+        assert_eq!(controlled.utilization.shed_requests, 0);
+        assert_eq!(plain.outcomes, controlled.outcomes);
+
+        // Staggered arrivals submitted out of arrival order: round robin
+        // rotates in arrival order on both paths, so the overlapping parses
+        // pile up identically.
+        let arrivals_ms = [5u64, 0, 9, 3, 7, 1, 10, 4, 2, 11, 6, 8];
+        let requests: Vec<ServerRequest> = arrivals_ms
             .iter()
-            .zip(controlled_result.outcomes.iter())
-        {
-            assert_eq!(a, b);
-        }
+            .enumerate()
+            .map(|(id, &ms)| {
+                let mut r = head(id as u64);
+                r.arrival = SimTime::ZERO + SimDuration::from_millis(ms);
+                r
+            })
+            .collect();
+        let (plain, controlled) = run_both(skewed_config(), requests);
+        assert_eq!(plain.outcomes, controlled.outcomes);
+        assert_eq!(plain.utilization, controlled.utilization);
+        // The arrivals at 0, 1 and 2 ms (ids 1, 5, 8) open one replica
+        // each, so each parses alone; rotating by submission index would
+        // have stacked ids 5 and 8 on the same replica.
+        let latency = |id: usize| controlled.outcomes[id].latency();
+        assert_eq!(latency(1), latency(5));
+        assert_eq!(latency(1), latency(8));
     }
 
     #[test]

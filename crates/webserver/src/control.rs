@@ -12,8 +12,9 @@
 //! The concrete defense policies (autoscaler, admission controller, token
 //! bucket, capacity schedule) live in the `mfc-dynamics` crate; this crate
 //! only knows how to *host* a control loop inside
-//! [`crate::ServerEngine::run_controlled`] and
-//! [`crate::ServerCluster::run_controlled`].
+//! [`crate::ServerCluster::run_controlled`] and
+//! [`crate::ServerCluster::run_controlled_streamed`]; static runs host
+//! [`NullControl`].
 
 use mfc_simcore::{SimDuration, SimTime};
 use mfc_simnet::Bandwidth;
@@ -126,8 +127,8 @@ pub trait ServerControl {
     fn on_tick(&mut self, now: SimTime, sample: &TickSample, actions: &mut Vec<ControlAction>);
 }
 
-/// The do-nothing control loop: accepts everything, never ticks.  Hosting a
-/// run under [`NullControl`] reproduces the plain batch run.
+/// The do-nothing control loop: accepts everything, never ticks.  A static
+/// server is the controlled sweep hosting [`NullControl`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NullControl;
 

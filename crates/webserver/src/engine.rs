@@ -1,12 +1,19 @@
 //! The event-driven server simulation.
 //!
-//! [`ServerEngine::run`] takes a batch of timed request arrivals (MFC
-//! requests plus any background traffic), pushes each request through the
+//! An [`EngineSession`] pushes each timed request arrival through the
 //! server's sub-systems — worker admission, request parsing on the CPU,
 //! static content from cache or disk, dynamic content through the
 //! configured handler and the database, and finally the response transfer
 //! over the shared access link — and reports when every response reached
 //! its client together with a resource-utilization snapshot.
+//!
+//! Sessions are stepped by one loop only, the drive in [`crate::cluster`]:
+//! [`ServerEngine::run`] (a batch, outcomes in submission order) and
+//! [`ServerEngine::run_streamed`] (a time-ordered stream, outcomes in
+//! stream order) run this engine through it as a static one-replica fleet,
+//! exactly as a [`crate::ServerCluster`] runs its replicas.  The drive's
+//! tie rule therefore holds for every entry point: work that completes at
+//! time `t` is processed before an arrival at `t`.
 //!
 //! The per-request pipeline is:
 //!
@@ -29,9 +36,10 @@ use mfc_simnet::{Bandwidth, FlowId};
 use mfc_topology::{BuiltTopology, TopologySpec};
 
 use crate::cache::CacheState;
+use crate::cluster::{drive_controlled, drive_controlled_stream, BalancePolicy};
 use crate::config::{DynamicHandler, ServerConfig};
 use crate::content::ContentCatalog;
-use crate::control::ServerControl;
+use crate::control::NullControl;
 use crate::request::{ArrivalRecord, RequestClass, RequestOutcome, RequestStatus, ServerRequest};
 use crate::resource::{FifoResource, MemoryTracker, PsResource, SlotPool};
 use crate::telemetry::UtilizationReport;
@@ -123,15 +131,19 @@ impl ServerEngine {
     /// Processes a batch of requests to completion.
     ///
     /// `cache` carries object/query cache warmth across runs (epochs).
-    /// Outcomes are returned in the order the requests were supplied.
+    /// Requests may be supplied in any order; outcomes are returned in the
+    /// order the requests were supplied.
     pub fn run(&self, requests: Vec<ServerRequest>, cache: &mut CacheState) -> RunResult {
-        let mut session = self.session(std::mem::replace(cache, CacheState::new()));
-        for request in requests {
-            session.push_request(request);
-        }
-        let (result, warmed) = session.finish();
-        *cache = warmed;
-        result
+        self.drive_alone(cache, |caches, active| {
+            drive_controlled(
+                self,
+                caches,
+                active,
+                BalancePolicy::RoundRobin,
+                requests,
+                &mut NullControl,
+            )
+        })
     }
 
     /// Processes a lazily generated, time-ordered request stream to
@@ -152,48 +164,27 @@ impl ServerEngine {
     where
         I: IntoIterator<Item = ServerRequest>,
     {
-        let mut session = self.session(std::mem::replace(cache, CacheState::new()));
-        let mut last_arrival: Option<SimTime> = None;
-        for request in requests {
-            debug_assert!(
-                last_arrival.is_none_or(|t| request.arrival >= t),
-                "streamed requests must be time-ordered"
-            );
-            last_arrival = Some(request.arrival);
-            // Retire everything the server finished before this arrival,
-            // then admit it.
-            session.run_until(request.arrival);
-            session.push_request(request);
-        }
-        let (result, warmed) = session.finish();
-        *cache = warmed;
-        result
+        self.drive_alone(cache, |caches, active| {
+            drive_controlled_stream(
+                self,
+                caches,
+                active,
+                BalancePolicy::RoundRobin,
+                requests.into_iter(),
+                &mut NullControl,
+            )
+        })
     }
 
-    /// Processes a batch of requests with a [`ServerControl`] loop attached:
-    /// the control sees every arrival (and may shed or throttle it) and a
-    /// telemetry tick at its configured interval, through which it can
-    /// reshape the server's link and CPU capacity mid-run.
-    ///
-    /// Replica-count actions are ignored — a single engine cannot scale
-    /// out; use [`crate::ServerCluster::run_controlled`] for that.
-    pub fn run_controlled(
+    /// Runs `drive` with this engine as a static one-replica fleet that
+    /// borrows `cache` for the run.
+    fn drive_alone(
         &self,
-        requests: Vec<ServerRequest>,
         cache: &mut CacheState,
-        control: &mut dyn ServerControl,
+        drive: impl FnOnce(&mut Vec<CacheState>, &mut usize) -> RunResult,
     ) -> RunResult {
-        let mut caches = vec![std::mem::replace(cache, CacheState::new())];
-        let mut active = 1;
-        let result = crate::cluster::drive_controlled(
-            self,
-            &mut caches,
-            &mut active,
-            crate::cluster::BalancePolicy::RoundRobin,
-            /*allow_scaling=*/ false,
-            requests,
-            control,
-        );
+        let mut caches = vec![std::mem::take(cache)];
+        let result = drive(&mut caches, &mut 1);
         *cache = caches.swap_remove(0);
         result
     }
@@ -258,11 +249,12 @@ enum Event {
 /// A tick-driven, incrementally-fed run of one server — the mid-run
 /// mutation seam the dynamics layer drives.
 ///
-/// Unlike the fire-and-forget [`ServerEngine::run`], a session accepts
-/// request arrivals while it is running ([`EngineSession::push_request`]),
-/// advances virtual time in bounded steps ([`EngineSession::run_until`]),
-/// exposes instantaneous telemetry between steps, and lets a control loop
-/// mutate link and CPU capacity without disturbing in-flight work.
+/// Unlike the fire-and-forget [`ServerEngine::run`] that drives it, a
+/// session accepts request arrivals while it is running
+/// ([`EngineSession::push_request`]), advances virtual time in bounded
+/// steps ([`EngineSession::run_until`]), exposes instantaneous telemetry
+/// between steps, and lets a control loop mutate link and CPU capacity
+/// without disturbing in-flight work.
 ///
 /// # Examples
 ///
@@ -455,12 +447,6 @@ impl<'a> EngineSession<'a> {
     /// Requests admitted to the session whose outcome is not yet recorded.
     pub fn in_flight(&self) -> u64 {
         self.requests.len() as u64 - self.settled
-    }
-
-    /// Requests pushed to this session so far (the local submission index
-    /// the next [`EngineSession::push_request`] will get).
-    pub fn pushed(&self) -> usize {
-        self.requests.len()
     }
 
     /// Busy worker slots right now.

@@ -1249,34 +1249,59 @@ fn heavy_tailed_catalog_sizes_match_the_spec_quantiles() {
 
 #[test]
 fn streamed_engine_run_matches_the_batch_run() {
-    // Arrivals spaced so no two events ever coincide: the streamed feed
-    // (push interleaved with stepping) must then reproduce the batch run
+    // Arrivals on a 1 ms grid against 1 ms HEAD parses: requests share
+    // arrival instants and land exactly on completions.  Both entry points
+    // go through the one drive, whose tie rule (completions at t before
+    // arrivals at t) makes the batch run reproduce the streamed feed
     // outcome for outcome.
-    let mut rng = SimRng::seed_from(0x0621);
-    for _ in 0..16 {
-        let crowd = rng.index(40) + 2;
-        let engine =
-            ServerEngine::new(ServerConfig::lab_apache(), ContentCatalog::lab_validation());
-        let requests: Vec<ServerRequest> = (0..crowd)
-            .map(|i| ServerRequest {
-                id: i as u64,
-                arrival: SimTime::from_micros(i as u64 * 10_000 + rng.uniform_u64(0, 7_919)),
-                class: RequestClass::Head,
-                path: "/index.html".to_string(),
-                client_downlink: 1e7,
-                client_rtt: SimDuration::from_millis(40),
-                client_addr: i as u32,
-                background: false,
-            })
-            .collect();
-        let mut requests = requests;
-        requests.sort_by_key(|r| r.arrival);
+    let head = |id: u64, at_us: u64| ServerRequest {
+        id,
+        arrival: SimTime::from_micros(at_us),
+        class: RequestClass::Head,
+        path: "/index.html".to_string(),
+        client_downlink: 1e7,
+        client_rtt: SimDuration::from_millis(40),
+        client_addr: id as u32,
+        background: false,
+    };
+    let one_worker = ServerConfig {
+        workers: mfc_webserver::WorkerConfig {
+            max_workers: 1,
+            listen_queue: 0,
+            ..ServerConfig::lab_apache().workers
+        },
+        ..ServerConfig::lab_apache()
+    };
+    let check = |config: &ServerConfig, requests: Vec<ServerRequest>| {
+        let engine = ServerEngine::new(config.clone(), ContentCatalog::lab_validation());
         let mut batch_cache = CacheState::new();
         let batch = engine.run(requests.clone(), &mut batch_cache);
         let mut stream_cache = CacheState::new();
         let streamed = engine.run_streamed(requests, &mut stream_cache);
         assert_eq!(batch.outcomes, streamed.outcomes);
         assert_eq!(batch.arrival_log, streamed.arrival_log);
+        assert_eq!(batch.utilization, streamed.utilization);
+        batch
+    };
+
+    // The pinned tie: the only worker frees at exactly 1000 us, when the
+    // second request arrives, so it is served rather than refused.
+    let tie = check(&one_worker, vec![head(0, 0), head(1, 1_000)]);
+    assert!(tie.outcomes.iter().all(|o| o.is_ok()), "{:?}", tie.outcomes);
+
+    let mut rng = SimRng::seed_from(0x0621);
+    for case in 0..16 {
+        let config = if case % 2 == 0 {
+            ServerConfig::lab_apache()
+        } else {
+            one_worker.clone()
+        };
+        let crowd = rng.index(40) + 2;
+        let mut requests: Vec<ServerRequest> = (0..crowd)
+            .map(|i| head(i as u64, rng.uniform_u64(0, crowd as u64) * 1_000))
+            .collect();
+        requests.sort_by_key(|r| r.arrival);
+        check(&config, requests);
     }
 }
 

@@ -10,7 +10,8 @@
 //!    compensates for ([`latency`]).
 //! 2. **The target's access link** becoming the bottleneck when many large
 //!    responses are in flight simultaneously — modelled as a max–min fair
-//!    fluid link shared by all active flows ([`link`]).
+//!    fluid link shared by all active flows ([`link`]), whose flows live
+//!    in the one fair-share core every sharing model uses ([`fairshare`]).
 //! 3. **TCP connection setup and slow start**, which determine when the
 //!    first byte of the HTTP request reaches the server and how quickly a
 //!    transfer can ramp up ([`tcp`]).
@@ -26,14 +27,16 @@
 #![warn(missing_docs)]
 
 pub mod capset;
+pub mod fairshare;
 pub mod latency;
 pub mod link;
 pub mod tcp;
 pub mod udp;
 
 pub use capset::CapMultiset;
+pub use fairshare::FairShareSet;
 pub use latency::{ClientNetProfile, PopulationProfile, WideAreaModel};
-pub use link::{FlowId, FluidLink, NaiveFluidLink};
+pub use link::{FlowId, FluidLink};
 pub use tcp::TcpModel;
 pub use udp::ControlChannel;
 

@@ -7,75 +7,27 @@
 //! where each flow may additionally be capped below its fair share by the
 //! client's own downlink or by TCP window limits.
 //!
-//! [`FluidLink`] implements max–min fairness with a **virtual-time,
-//! water-level core** instead of the classic per-event progressive-filling
-//! pass:
+//! [`FluidLink`] is a capacity plus one [`FairShareSet`]: on every
+//! structural change it asks the link's [`CapMultiset`] for the one water
+//! level `w` with `Σ min(cᵢ, w) = C` (O(log n)) and hands it to the set,
+//! which flips flows between its sharing and capped regimes and tracks
+//! completions in virtual time (see [`crate::fairshare`]).  Processor
+//! sharing (`PsResource`) rides the same link with work units for bytes,
+//! and each route of `mfc_topology`'s `NetworkGraph` runs the same set and
+//! the same single-level fill when the graph is one link.  The executable
+//! specification is `mfc_topology`'s `NaiveNetwork`, whose one-link case
+//! the property tests and scaling benches compare against.
 //!
-//! - The fair allocation is a water level `w` with `Σ min(cᵢ, w) = C`,
-//!   computed in O(log n) over a [`CapMultiset`] (a balanced tree of caps
-//!   with subtree prefix sums) rather than by repeatedly redistributing
-//!   excess capacity over every flow.
-//! - Flows *above* the water level all progress at the common rate `w`, so
-//!   their remaining bytes never need to be touched individually: one
-//!   cumulative fair-share integral `V(t) = ∫ w dt` advances for all of
-//!   them, and each flow finishes when `V` reaches its *virtual finish
-//!   tag* (the value of `V` at admission plus its size).  They live in an
-//!   ordered set keyed by that tag, so the next completion is a peek.
-//! - Flows *below* the water level run at their own constant cap, so their
-//!   absolute finish time is fixed while they stay capped; they live in a
-//!   second ordered set keyed by wall-clock finish time.
-//! - An arrival or departure moves the water level and may flip flows
-//!   between the two regimes; flips are found by range queries over
-//!   cap-ordered indexes, so each flip costs O(log n) instead of a full
-//!   rescan.
-//!
-//! The result is O(log n) amortized per flow arrival/departure and an
-//! O(log n) `peek_completion`, versus O(n²) per event for progressive
-//! filling — the
-//! difference between simulating tens and tens of thousands of concurrent
-//! transfers.  The old implementation is retained verbatim as
-//! [`NaiveFluidLink`], the executable specification the property tests and
-//! scaling benches compare against.
-//!
-//! Every container involved is ordered (`BTreeMap`/`BTreeSet`/set-shaped
-//! treap), so all float accumulation happens in a reproducible order and
-//! repro artifacts stay byte-identical across runs and thread counts.
+//! [`CapMultiset`]: crate::CapMultiset
 
-use std::collections::{BTreeMap, BTreeSet};
-use std::ops::Bound;
+use mfc_simcore::SimTime;
 
-use mfc_simcore::{SimDuration, SimTime};
-
-use crate::capset::CapMultiset;
+use crate::fairshare::FairShareSet;
 use crate::Bandwidth;
 
 /// Identifies one flow (one HTTP response transfer) on a [`FluidLink`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct FlowId(pub u64);
-
-/// Which sharing regime a flow is currently in.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Regime {
-    /// Rate = water level; finishes when the fair-share integral `V`
-    /// reaches `v_finish`.
-    Sharing { v_finish: f64 },
-    /// Rate = own cap (constant while capped); `r_ref` bytes remained at
-    /// wall-clock `t_ref_secs`, giving the fixed finish time `finish_secs`.
-    Capped {
-        r_ref: f64,
-        t_ref_secs: f64,
-        finish_secs: f64,
-    },
-    /// No bytes left; rate zero, waiting for [`FluidLink::finish_flow`].
-    Drained,
-}
-
-#[derive(Debug, Clone)]
-struct Flow {
-    /// Per-flow rate ceiling in bytes/s (client downlink, TCP window, …).
-    rate_cap: Bandwidth,
-    regime: Regime,
-}
 
 /// A shared bottleneck link with max–min fair bandwidth allocation.
 ///
@@ -99,31 +51,9 @@ struct Flow {
 #[derive(Debug, Clone)]
 pub struct FluidLink {
     capacity: Bandwidth,
-    flows: BTreeMap<FlowId, Flow>,
-    /// Fair-share integral `V(t)`: advances at the water-level rate while
-    /// any sharing flow exists.
-    vtime: f64,
-    /// Water level (rate of every sharing flow); `f64::INFINITY` when no
-    /// flow is sharing.
-    water: f64,
-    /// Aggregate throughput of all active flows.
-    agg_rate: f64,
+    flows: FairShareSet,
     last_event: SimTime,
     bytes_transferred: f64,
-    /// Finite caps of all active (non-drained) flows.
-    caps: CapMultiset,
-    /// Active flows with an infinite cap (always sharing).
-    inf_count: u64,
-    /// Sharing flows ordered by virtual finish tag: `(v_finish bits, id)`.
-    sharing: BTreeSet<(u64, FlowId)>,
-    /// Capped flows ordered by absolute finish time: `(finish_secs bits, id)`.
-    capped: BTreeSet<(u64, FlowId)>,
-    /// Capped flows ordered by cap, for water-level-drop flips.
-    capped_by_cap: BTreeSet<(u64, FlowId)>,
-    /// Finite-cap sharing flows ordered by cap, for water-level-rise flips.
-    sharing_by_cap: BTreeSet<(u64, FlowId)>,
-    /// Flows discovered to have zero bytes remaining (they complete "now").
-    drained: BTreeSet<FlowId>,
 }
 
 impl FluidLink {
@@ -136,19 +66,9 @@ impl FluidLink {
         assert!(capacity > 0.0, "link capacity must be positive");
         FluidLink {
             capacity,
-            flows: BTreeMap::new(),
-            vtime: 0.0,
-            water: f64::INFINITY,
-            agg_rate: 0.0,
+            flows: FairShareSet::new(),
             last_event: SimTime::ZERO,
             bytes_transferred: 0.0,
-            caps: CapMultiset::new(),
-            inf_count: 0,
-            sharing: BTreeSet::new(),
-            capped: BTreeSet::new(),
-            capped_by_cap: BTreeSet::new(),
-            sharing_by_cap: BTreeSet::new(),
-            drained: BTreeSet::new(),
         }
     }
 
@@ -186,7 +106,7 @@ impl FluidLink {
 
     /// Current aggregate throughput in bytes per second.
     pub fn utilization_bytes_per_sec(&self) -> f64 {
-        self.agg_rate
+        self.flows.aggregate_rate()
     }
 
     /// Starts a new transfer of `bytes` bytes at time `now`, individually
@@ -202,37 +122,7 @@ impl FluidLink {
         assert!(bytes >= 0.0, "flow size must be non-negative");
         self.advance(now);
         self.sweep_completed();
-        assert!(
-            !self.flows.contains_key(&id),
-            "flow {id:?} is already active"
-        );
-        let rate_cap = rate_cap.max(0.0);
-        if bytes <= 0.0 {
-            self.flows.insert(
-                id,
-                Flow {
-                    rate_cap,
-                    regime: Regime::Drained,
-                },
-            );
-            self.drained.insert(id);
-        } else {
-            let v_finish = self.vtime + bytes;
-            self.flows.insert(
-                id,
-                Flow {
-                    rate_cap,
-                    regime: Regime::Sharing { v_finish },
-                },
-            );
-            self.sharing.insert((v_finish.to_bits(), id));
-            if rate_cap.is_finite() {
-                self.caps.insert(rate_cap);
-                self.sharing_by_cap.insert((rate_cap.to_bits(), id));
-            } else {
-                self.inf_count += 1;
-            }
-        }
+        self.flows.admit(id, bytes, rate_cap.max(0.0));
         self.rebalance();
     }
 
@@ -241,37 +131,10 @@ impl FluidLink {
     /// Returns the number of bytes that had not yet been transferred.
     pub fn finish_flow(&mut self, id: FlowId, now: SimTime) -> Option<f64> {
         self.advance(now);
-        let flow = self.flows.remove(&id)?;
-        let remaining = match flow.regime {
-            Regime::Drained => {
-                self.drained.remove(&id);
-                0.0
-            }
-            Regime::Sharing { v_finish } => {
-                self.sharing.remove(&(v_finish.to_bits(), id));
-                self.detach_cap(&flow, id, /*was_sharing=*/ true);
-                let r = v_finish - self.vtime;
-                if r < 0.0 {
-                    // The caller advanced (at most a clock tick) past the
-                    // exact finish; refund the over-charged bytes.
-                    self.bytes_transferred += r;
-                }
-                r.max(0.0)
-            }
-            Regime::Capped {
-                r_ref,
-                t_ref_secs,
-                finish_secs,
-            } => {
-                self.capped.remove(&(finish_secs.to_bits(), id));
-                self.detach_cap(&flow, id, /*was_sharing=*/ false);
-                let r = r_ref - flow.rate_cap * (self.last_event.as_secs_f64() - t_ref_secs);
-                if r < 0.0 {
-                    self.bytes_transferred += r;
-                }
-                r.max(0.0)
-            }
-        };
+        let bytes = &mut self.bytes_transferred;
+        let remaining = self
+            .flows
+            .remove(id, self.last_event, |over| *bytes += over)?;
         self.sweep_completed();
         self.rebalance();
         Some(remaining)
@@ -281,61 +144,16 @@ impl FluidLink {
     /// as the transfer leaves slow start).  Triggers a re-allocation.
     pub fn set_rate_cap(&mut self, id: FlowId, rate_cap: Bandwidth, now: SimTime) {
         self.advance(now);
-        if !self.flows.contains_key(&id) {
+        if !self.flows.contains(id) {
             // Like the naive model: an unknown id advances the clock only.
             return;
         }
         // From here on this behaves like the reference model's unconditional
         // reallocate: once the sweep has detached newly-drained flows, a
-        // rebalance MUST follow on every path, or `water`/`agg_rate` keep
-        // counting the share of flows the sweep just released.
+        // rebalance MUST follow on every path, or the level and aggregate
+        // rate keep counting the share of flows the sweep just released.
         self.sweep_completed();
-        let flow = self.flows.get(&id).expect("presence checked above");
-        let old_cap = flow.rate_cap;
-        let rate_cap = rate_cap.max(0.0);
-        if old_cap.to_bits() == rate_cap.to_bits() {
-            self.rebalance();
-            return;
-        }
-        match flow.regime {
-            Regime::Drained => {
-                self.flows.get_mut(&id).expect("flow exists").rate_cap = rate_cap;
-                self.rebalance();
-                return;
-            }
-            Regime::Sharing { .. } => {
-                if old_cap.is_finite() {
-                    self.caps.remove(old_cap);
-                    self.sharing_by_cap.remove(&(old_cap.to_bits(), id));
-                } else {
-                    self.inf_count -= 1;
-                }
-            }
-            Regime::Capped {
-                r_ref,
-                t_ref_secs,
-                finish_secs,
-            } => {
-                // Materialize the remaining bytes and re-enter as sharing;
-                // the rebalance below re-freezes the flow if its new cap is
-                // still under water.
-                self.caps.remove(old_cap);
-                self.capped.remove(&(finish_secs.to_bits(), id));
-                self.capped_by_cap.remove(&(old_cap.to_bits(), id));
-                let r = r_ref - old_cap * (self.last_event.as_secs_f64() - t_ref_secs);
-                let v_finish = self.vtime + r.max(0.0);
-                self.flows.get_mut(&id).expect("flow exists").regime = Regime::Sharing { v_finish };
-                self.sharing.insert((v_finish.to_bits(), id));
-            }
-        }
-        let flow = self.flows.get_mut(&id).expect("flow exists");
-        flow.rate_cap = rate_cap;
-        if rate_cap.is_finite() {
-            self.caps.insert(rate_cap);
-            self.sharing_by_cap.insert((rate_cap.to_bits(), id));
-        } else {
-            self.inf_count += 1;
-        }
+        self.flows.set_cap(id, rate_cap.max(0.0), self.last_event);
         self.rebalance();
     }
 
@@ -350,10 +168,8 @@ impl FluidLink {
             return;
         }
         let elapsed = (now - self.last_event).as_secs_f64();
-        self.bytes_transferred += self.agg_rate * elapsed;
-        if !self.sharing.is_empty() {
-            self.vtime += self.water * elapsed;
-        }
+        self.bytes_transferred += self.flows.aggregate_rate() * elapsed;
+        self.flows.advance(elapsed);
         self.last_event = now;
     }
 
@@ -365,36 +181,7 @@ impl FluidLink {
     /// the answer is stable between mutations regardless of how far the
     /// caller's clock has moved — ideal for event-loop rescheduling.
     pub fn peek_completion(&self) -> Option<(SimTime, FlowId)> {
-        let mut best: Option<(SimTime, FlowId)> = None;
-        let consider = |candidate: (SimTime, FlowId), best: &mut Option<(SimTime, FlowId)>| {
-            *best = Some(match *best {
-                Some(b) if b <= candidate => b,
-                _ => candidate,
-            });
-        };
-        if let Some(&id) = self.drained.iter().next() {
-            consider((self.last_event, id), &mut best);
-        }
-        if let Some(&(v_bits, id)) = self.sharing.iter().next() {
-            let v_finish = f64::from_bits(v_bits);
-            if v_finish <= self.vtime {
-                consider((self.last_event, id), &mut best);
-            } else {
-                let secs = (v_finish - self.vtime) / self.water;
-                if secs.is_finite() {
-                    consider((self.last_event + ceil_micros(secs), id), &mut best);
-                }
-            }
-        }
-        if let Some(&(f_bits, id)) = self.capped.iter().next() {
-            let finish_secs = f64::from_bits(f_bits);
-            if finish_secs.is_finite() {
-                let t = SimTime::from_micros((finish_secs * 1_000_000.0).ceil() as u64)
-                    .max(self.last_event);
-                consider((t, id), &mut best);
-            }
-        }
-        best
+        self.flows.peek(self.last_event)
     }
 
     /// [`Self::peek_completion`] after advancing the model to `now`.
@@ -408,351 +195,23 @@ impl FluidLink {
 
     /// Remaining bytes for a flow, if it is active.
     pub fn remaining_bytes(&self, id: FlowId) -> Option<f64> {
-        let flow = self.flows.get(&id)?;
-        Some(match flow.regime {
-            Regime::Drained => 0.0,
-            Regime::Sharing { v_finish } => (v_finish - self.vtime).max(0.0),
-            Regime::Capped {
-                r_ref, t_ref_secs, ..
-            } => (r_ref - flow.rate_cap * (self.last_event.as_secs_f64() - t_ref_secs)).max(0.0),
-        })
+        self.flows.remaining_bytes(id, self.last_event)
     }
 
     /// The rate currently allocated to a flow in bytes/s, if it is active.
     pub fn current_rate(&self, id: FlowId) -> Option<Bandwidth> {
-        let flow = self.flows.get(&id)?;
-        Some(match flow.regime {
-            Regime::Drained => 0.0,
-            Regime::Sharing { .. } => self.water,
-            Regime::Capped { .. } => flow.rate_cap,
-        })
+        self.flows.current_rate(id)
     }
 
-    /// Removes the cap-index bookkeeping for a departing flow.
-    fn detach_cap(&mut self, flow: &Flow, id: FlowId, was_sharing: bool) {
-        if flow.rate_cap.is_finite() {
-            self.caps.remove(flow.rate_cap);
-            let entry = (flow.rate_cap.to_bits(), id);
-            if was_sharing {
-                self.sharing_by_cap.remove(&entry);
-            } else {
-                self.capped_by_cap.remove(&entry);
-            }
-        } else {
-            self.inf_count -= 1;
-        }
-    }
-
-    /// Moves flows that already finished (as of the current `vtime` /
-    /// `last_event`) into the drained state, releasing their share.  This is
-    /// the lazy analogue of progressive filling's `remaining > 0` filter and
-    /// runs at the same points (flow add/remove), so rates match the naive
-    /// model between events.
+    /// Retires flows that already finished, refunding over-drained bytes.
     fn sweep_completed(&mut self) {
-        let now_secs = self.last_event.as_secs_f64();
-        while let Some(&(v_bits, id)) = self.sharing.iter().next() {
-            let v_finish = f64::from_bits(v_bits);
-            if v_finish > self.vtime {
-                break;
-            }
-            self.sharing.remove(&(v_bits, id));
-            let flow = self.flows.get(&id).expect("indexed flow exists").clone();
-            self.detach_cap(&flow, id, /*was_sharing=*/ true);
-            let over = v_finish - self.vtime;
-            if over < 0.0 {
-                self.bytes_transferred += over;
-            }
-            self.flows.get_mut(&id).expect("flow exists").regime = Regime::Drained;
-            self.drained.insert(id);
-        }
-        while let Some(&(f_bits, id)) = self.capped.iter().next() {
-            let finish_secs = f64::from_bits(f_bits);
-            if finish_secs > now_secs {
-                break;
-            }
-            self.capped.remove(&(f_bits, id));
-            let flow = self.flows.get(&id).expect("indexed flow exists").clone();
-            self.detach_cap(&flow, id, /*was_sharing=*/ false);
-            if let Regime::Capped {
-                r_ref, t_ref_secs, ..
-            } = flow.regime
-            {
-                let over = r_ref - flow.rate_cap * (now_secs - t_ref_secs);
-                if over < 0.0 {
-                    self.bytes_transferred += over;
-                }
-            }
-            self.flows.get_mut(&id).expect("flow exists").regime = Regime::Drained;
-            self.drained.insert(id);
-        }
+        let bytes = &mut self.bytes_transferred;
+        self.flows.sweep(self.last_event, |over| *bytes += over);
     }
 
-    /// Recomputes the water level after a structural change and flips flows
-    /// whose regime changed.  O(log n) plus O(log n) per flipped flow.
+    /// Sets the link's single water level after a structural change.
     fn rebalance(&mut self) {
-        let active = self.caps.len() + self.inf_count;
-        if active == 0 {
-            self.water = f64::INFINITY;
-            self.agg_rate = 0.0;
-            return;
-        }
-        let wl = self.caps.water_level(self.capacity, active);
-        self.water = wl.level;
-        self.agg_rate = if wl.saturated_count >= active {
-            wl.saturated_sum
-        } else {
-            wl.saturated_sum + wl.level * (active - wl.saturated_count) as f64
-        };
-        let now_secs = self.last_event.as_secs_f64();
-
-        // Capped flows whose cap rose above the (lowered) water level go
-        // back to sharing.
-        let unfreeze_from = match wl.threshold_bits {
-            Some(bits) => Bound::Excluded((bits, FlowId(u64::MAX))),
-            None => Bound::Unbounded,
-        };
-        let to_share: Vec<(u64, FlowId)> = self
-            .capped_by_cap
-            .range((unfreeze_from, Bound::Unbounded))
-            .copied()
-            .collect();
-        for (cap_bits, id) in to_share {
-            self.capped_by_cap.remove(&(cap_bits, id));
-            let flow = self.flows.get_mut(&id).expect("indexed flow exists");
-            let Regime::Capped {
-                r_ref,
-                t_ref_secs,
-                finish_secs,
-            } = flow.regime
-            else {
-                unreachable!("capped index points at a non-capped flow");
-            };
-            let remaining = r_ref - flow.rate_cap * (now_secs - t_ref_secs);
-            let v_finish = self.vtime + remaining;
-            flow.regime = Regime::Sharing { v_finish };
-            self.capped.remove(&(finish_secs.to_bits(), id));
-            self.sharing.insert((v_finish.to_bits(), id));
-            self.sharing_by_cap.insert((cap_bits, id));
-        }
-
-        // Sharing flows whose cap sank below the (raised) water level are
-        // frozen at their cap.
-        if let Some(bits) = wl.threshold_bits {
-            let to_freeze: Vec<(u64, FlowId)> = self
-                .sharing_by_cap
-                .range((Bound::Unbounded, Bound::Included((bits, FlowId(u64::MAX)))))
-                .copied()
-                .collect();
-            for (cap_bits, id) in to_freeze {
-                self.sharing_by_cap.remove(&(cap_bits, id));
-                let flow = self.flows.get_mut(&id).expect("indexed flow exists");
-                let Regime::Sharing { v_finish } = flow.regime else {
-                    unreachable!("sharing index points at a non-sharing flow");
-                };
-                let r_ref = v_finish - self.vtime;
-                let finish_secs = now_secs + r_ref / flow.rate_cap;
-                flow.regime = Regime::Capped {
-                    r_ref,
-                    t_ref_secs: now_secs,
-                    finish_secs,
-                };
-                self.sharing.remove(&(v_finish.to_bits(), id));
-                self.capped.insert((finish_secs.to_bits(), id));
-                self.capped_by_cap.insert((cap_bits, id));
-            }
-        }
-    }
-}
-
-/// Rounds a span of seconds *up* to the clock's microsecond resolution so
-/// that advancing to the reported completion time always drains the flow
-/// completely; rounding to nearest could leave a sliver of bytes behind on
-/// very fast links.
-fn ceil_micros(secs: f64) -> SimDuration {
-    SimDuration::from_micros((secs * 1_000_000.0).ceil().max(0.0) as u64)
-}
-
-// ---------------------------------------------------------------------
-// The retained naive reference model.
-// ---------------------------------------------------------------------
-
-#[derive(Debug, Clone)]
-struct NaiveFlow {
-    remaining_bytes: f64,
-    rate_cap: Bandwidth,
-    current_rate: Bandwidth,
-}
-
-/// The pre-optimization progressive-filling fluid link, retained verbatim
-/// as the executable specification of max–min fairness.
-///
-/// Every operation is an O(n)–O(n²) scan whose correctness is self-evident;
-/// the randomized property tests assert that [`FluidLink`]'s virtual-time
-/// core produces the same rates, completion times and completion order, and
-/// the scaling benches in `crates/bench` measure the speedup against it.
-/// Do not use it outside tests and benches.
-#[derive(Debug, Clone)]
-pub struct NaiveFluidLink {
-    capacity: Bandwidth,
-    flows: BTreeMap<FlowId, NaiveFlow>,
-    last_advance: SimTime,
-    bytes_transferred: f64,
-}
-
-impl NaiveFluidLink {
-    /// Creates a link with the given capacity in bytes per second.
-    pub fn new(capacity: Bandwidth) -> Self {
-        assert!(capacity > 0.0, "link capacity must be positive");
-        NaiveFluidLink {
-            capacity,
-            flows: BTreeMap::new(),
-            last_advance: SimTime::ZERO,
-            bytes_transferred: 0.0,
-        }
-    }
-
-    /// Total bytes drained through the link since construction.
-    pub fn bytes_transferred(&self) -> f64 {
-        self.bytes_transferred
-    }
-
-    /// Current aggregate throughput in bytes per second.
-    pub fn utilization_bytes_per_sec(&self) -> f64 {
-        self.flows.values().map(|f| f.current_rate).sum()
-    }
-
-    /// Changes the link's capacity; see [`FluidLink::set_capacity`].
-    pub fn set_capacity(&mut self, capacity: Bandwidth, now: SimTime) {
-        assert!(capacity > 0.0, "link capacity must be positive");
-        self.advance(now);
-        self.capacity = capacity;
-        self.reallocate();
-    }
-
-    /// Starts a new transfer; see [`FluidLink::start_flow`].
-    pub fn start_flow(&mut self, id: FlowId, bytes: f64, rate_cap: Bandwidth, now: SimTime) {
-        assert!(bytes >= 0.0, "flow size must be non-negative");
-        self.advance(now);
-        let previous = self.flows.insert(
-            id,
-            NaiveFlow {
-                remaining_bytes: bytes,
-                rate_cap: rate_cap.max(0.0),
-                current_rate: 0.0,
-            },
-        );
-        assert!(previous.is_none(), "flow {id:?} is already active");
-        self.reallocate();
-    }
-
-    /// Removes a flow; see [`FluidLink::finish_flow`].
-    pub fn finish_flow(&mut self, id: FlowId, now: SimTime) -> Option<f64> {
-        self.advance(now);
-        let flow = self.flows.remove(&id)?;
-        self.reallocate();
-        Some(flow.remaining_bytes)
-    }
-
-    /// Changes the rate cap of an active flow; see [`FluidLink::set_rate_cap`].
-    pub fn set_rate_cap(&mut self, id: FlowId, rate_cap: Bandwidth, now: SimTime) {
-        self.advance(now);
-        if let Some(flow) = self.flows.get_mut(&id) {
-            flow.rate_cap = rate_cap.max(0.0);
-            self.reallocate();
-        }
-    }
-
-    /// Advances the fluid model to `now`, draining every flow individually.
-    pub fn advance(&mut self, now: SimTime) {
-        if now <= self.last_advance {
-            return;
-        }
-        let elapsed = (now - self.last_advance).as_secs_f64();
-        for flow in self.flows.values_mut() {
-            let drained = (flow.current_rate * elapsed).min(flow.remaining_bytes);
-            flow.remaining_bytes -= drained;
-            self.bytes_transferred += drained;
-        }
-        self.last_advance = now;
-    }
-
-    /// Returns the next completion by scanning every flow.
-    pub fn next_completion(&mut self, now: SimTime) -> Option<(SimTime, FlowId)> {
-        self.advance(now);
-        let mut best: Option<(SimDuration, FlowId)> = None;
-        for (&id, flow) in &self.flows {
-            if flow.remaining_bytes <= 0.0 {
-                let candidate = (SimDuration::ZERO, id);
-                best = Some(match best {
-                    Some(b) if b <= candidate => b,
-                    _ => candidate,
-                });
-                continue;
-            }
-            if flow.current_rate <= 0.0 {
-                continue;
-            }
-            let secs = flow.remaining_bytes / flow.current_rate;
-            let micros = (secs * 1_000_000.0).ceil().max(0.0) as u64;
-            let candidate = (SimDuration::from_micros(micros), id);
-            best = Some(match best {
-                Some(b) if b <= candidate => b,
-                _ => candidate,
-            });
-        }
-        best.map(|(d, id)| (self.last_advance + d, id))
-    }
-
-    /// Remaining bytes for a flow, if it is active.
-    pub fn remaining_bytes(&self, id: FlowId) -> Option<f64> {
-        self.flows.get(&id).map(|f| f.remaining_bytes)
-    }
-
-    /// The rate currently allocated to a flow in bytes/s, if it is active.
-    pub fn current_rate(&self, id: FlowId) -> Option<Bandwidth> {
-        self.flows.get(&id).map(|f| f.current_rate)
-    }
-
-    /// Recomputes the max–min fair allocation (progressive filling).
-    fn reallocate(&mut self) {
-        let mut unassigned: Vec<FlowId> = self
-            .flows
-            .iter()
-            .filter(|(_, f)| f.remaining_bytes > 0.0)
-            .map(|(&id, _)| id)
-            .collect();
-        unassigned.sort_unstable();
-
-        for flow in self.flows.values_mut() {
-            flow.current_rate = 0.0;
-        }
-
-        let mut capacity_left = self.capacity;
-        while !unassigned.is_empty() && capacity_left > f64::EPSILON {
-            let share = capacity_left / unassigned.len() as f64;
-            let mut frozen = Vec::new();
-            for &id in &unassigned {
-                let cap = self.flows[&id].rate_cap;
-                if cap <= share {
-                    frozen.push(id);
-                }
-            }
-            if frozen.is_empty() {
-                for id in &unassigned {
-                    self.flows.get_mut(id).expect("flow exists").current_rate = share;
-                }
-                capacity_left = 0.0;
-                unassigned.clear();
-            } else {
-                for id in &frozen {
-                    let cap = self.flows[id].rate_cap;
-                    self.flows.get_mut(id).expect("flow exists").current_rate = cap;
-                    capacity_left -= cap;
-                }
-                unassigned.retain(|id| !frozen.contains(id));
-                capacity_left = capacity_left.max(0.0);
-            }
-        }
+        self.flows.fill(self.capacity, self.last_event);
     }
 }
 
@@ -1013,68 +472,5 @@ mod tests {
             (done.as_secs_f64() - (1.0 + 400.0 / 300.0)).abs() < 1e-5,
             "{done}"
         );
-    }
-
-    #[test]
-    fn capacity_change_matches_naive_model() {
-        let mut fast = FluidLink::new(1_000_000.0);
-        let mut naive = NaiveFluidLink::new(1_000_000.0);
-        for i in 0..8u64 {
-            let cap = if i % 2 == 0 {
-                f64::INFINITY
-            } else {
-                150_000.0 + 40_000.0 * i as f64
-            };
-            fast.start_flow(
-                FlowId(i),
-                500_000.0 + 100_000.0 * i as f64,
-                cap,
-                t(0.1 * i as f64),
-            );
-            naive.start_flow(
-                FlowId(i),
-                500_000.0 + 100_000.0 * i as f64,
-                cap,
-                t(0.1 * i as f64),
-            );
-        }
-        for (step, capacity) in [(1.0, 400_000.0), (2.0, 2_000_000.0), (3.0, 700_000.0)] {
-            fast.set_capacity(capacity, t(step));
-            naive.set_capacity(capacity, t(step));
-            for i in 0..8u64 {
-                let (a, b) = (
-                    fast.remaining_bytes(FlowId(i)),
-                    naive.remaining_bytes(FlowId(i)),
-                );
-                match (a, b) {
-                    (Some(a), Some(b)) => assert!((a - b).abs() < 1.0, "flow {i}: {a} vs {b}"),
-                    (a, b) => assert_eq!(a.map(|_| ()), b.map(|_| ())),
-                }
-            }
-        }
-        // Drain both and compare the completion order.
-        let mut now = t(3.0);
-        while let Some((tf, idf)) = fast.next_completion(now) {
-            let (tn, idn) = naive.next_completion(now).expect("naive still active");
-            assert_eq!(idf, idn);
-            assert!(
-                (tf.as_secs_f64() - tn.as_secs_f64()).abs() < 1e-3,
-                "{tf} vs {tn}"
-            );
-            now = now.max(tf);
-            fast.finish_flow(idf, now);
-            naive.finish_flow(idn, now);
-        }
-        assert!(naive.next_completion(now).is_none());
-    }
-
-    #[test]
-    fn naive_link_still_behaves() {
-        let mut link = NaiveFluidLink::new(1_000_000.0);
-        link.start_flow(FlowId(1), 500_000.0, f64::INFINITY, t(0.0));
-        link.start_flow(FlowId(2), 500_000.0, f64::INFINITY, t(0.0));
-        let (done, id) = link.next_completion(t(0.0)).unwrap();
-        assert_eq!(id, FlowId(1));
-        assert!((done.as_secs_f64() - 1.0).abs() < 1e-9);
     }
 }

@@ -9,24 +9,26 @@
 //! any link on its route saturates; a saturated link freezes every flow
 //! through it at the link's *water level*.
 //!
-//! The per-event cost stays near O(L² · log C) for L links and C flows —
-//! independent of the crowd size except through logarithms — by reusing
-//! PR 2's two ideas at the route granularity:
+//! Flows sharing a route are interchangeable up to their caps, so each
+//! route's flows live in one [`FairShareSet`] — the same core a
+//! `FluidLink` is built on.  The set owns the caps, regimes, the route's
+//! fair-share integral and its completion order; the graph only decides
+//! each route's level and keeps the per-link byte counters.  The per-event
+//! cost stays near O(L² · log C) for L links and C flows — independent of
+//! the crowd size except through logarithms:
 //!
-//! - **Water levels from cap multisets.**  Flows sharing a route are
-//!   interchangeable up to their caps, so each route keeps its active
-//!   flows' caps in a [`CapMultiset`].  A link's saturation level solves
-//!   `Σ_routes demand_r(w) + frozen = C` where `demand_r(w)` is an
-//!   O(log C) prefix query; the threshold cap is found by a monotone
-//!   partition walk, never by touching flows individually.
-//! - **Per-route virtual time.**  All unfrozen flows of one route run at
-//!   the same rate (the water level of the route's bottleneck link), so
-//!   one fair-share integral `V_r(t)` advances for the whole route and
-//!   each flow finishes when `V_r` crosses its admission tag.  When the
-//!   bottleneck *moves* to a different link the integral simply continues
-//!   at the new rate — no per-flow state is rewritten.  Only flows that
-//!   flip between the sharing and capped regimes (an O(log C) range query
-//!   per reallocation) are touched individually.
+//! - **Water levels from cap multisets.**  A link's saturation level
+//!   solves `Σ_routes demand_r(w) + frozen = C` where `demand_r(w)` is an
+//!   O(log C) prefix query over the route set's caps; the threshold cap is
+//!   found by a monotone partition walk, never by touching flows
+//!   individually.
+//! - **Per-route virtual time.**  When a route's bottleneck *moves* to a
+//!   different link its set's integral simply continues at the new level;
+//!   only flows that flip between the sharing and capped regimes are
+//!   touched individually.
+//!
+//! A graph of one link and one route over it skips the rounds and runs the
+//! same single-level fill as `FluidLink`, so the two agree to the bit.
 //!
 //! [`super::NaiveNetwork`] retains the textbook progressive-filling
 //! algorithm as the executable specification; randomized property tests in
@@ -34,15 +36,15 @@
 //! times and completion order under arbitrary add/remove/cap-change/
 //! capacity-change/advance interleavings.
 //!
-//! Every container is ordered (`BTreeMap`/`BTreeSet`/`CapMultiset`), so all
-//! float accumulation happens in a reproducible order and repro artifacts
-//! stay byte-identical across runs and thread counts.
+//! Every container that is iterated is ordered (`BTreeMap`/`BTreeSet`/
+//! `CapMultiset`, route and link vectors), so all float accumulation
+//! happens in a reproducible order and repro artifacts stay byte-identical
+//! across runs and thread counts.
 
-use std::collections::{BTreeMap, BTreeSet};
-use std::ops::Bound;
+use std::collections::{BTreeSet, HashMap};
 
-use mfc_simcore::{SimDuration, SimTime};
-use mfc_simnet::{Bandwidth, CapMultiset, FlowId};
+use mfc_simcore::SimTime;
+use mfc_simnet::{Bandwidth, FairShareSet, FlowId};
 
 /// Identifies one shared link in a [`NetworkGraph`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -51,30 +53,6 @@ pub struct LinkId(pub u32);
 /// Identifies one route (an ordered set of links flows traverse together).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RouteId(pub u32);
-
-/// Which sharing regime a flow is currently in (see `FluidLink`).
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Regime {
-    /// Rate = the route's water level; finishes when the route's
-    /// fair-share integral reaches `v_finish`.
-    Sharing { v_finish: f64 },
-    /// Rate = own cap; `r_ref` bytes remained at `t_ref_secs`, fixing the
-    /// absolute finish time while the flow stays capped.
-    Capped {
-        r_ref: f64,
-        t_ref_secs: f64,
-        finish_secs: f64,
-    },
-    /// No bytes left; waits for [`NetworkGraph::finish_flow`].
-    Drained,
-}
-
-#[derive(Debug, Clone)]
-struct Flow {
-    route: RouteId,
-    rate_cap: Bandwidth,
-    regime: Regime,
-}
 
 #[derive(Debug, Clone)]
 struct Link {
@@ -89,40 +67,17 @@ struct Link {
 #[derive(Debug, Clone, Default)]
 struct Route {
     links: Vec<LinkId>,
-    /// Finite caps of this route's active (non-drained) flows.
-    caps: CapMultiset,
-    /// Active flows with an infinite cap.
-    inf_count: u64,
-    /// Fair-share integral for the route's sharing flows.
-    vtime: f64,
-    /// Water level of the route's bottleneck link; `f64::INFINITY` when no
-    /// link on the route is saturated (every flow runs at its own cap).
-    level: f64,
-    /// The saturated link that sets `level`, for diagnostics.
+    /// The route's flows, sharing the level of its bottleneck link.
+    flows: FairShareSet,
+    /// The saturated link that sets the level, for diagnostics.
     bottleneck: Option<LinkId>,
-    /// Aggregate throughput of the route's active flows.
-    agg_rate: f64,
-    /// Sharing flows by virtual finish tag.
-    sharing: BTreeSet<(u64, FlowId)>,
-    /// Finite-cap sharing flows by cap, for freeze range queries.
-    sharing_by_cap: BTreeSet<(u64, FlowId)>,
-    /// Capped flows by absolute finish time.
-    capped: BTreeSet<(u64, FlowId)>,
-    /// Capped flows by cap, for unfreeze range queries.
-    capped_by_cap: BTreeSet<(u64, FlowId)>,
 }
 
-impl Route {
-    fn active(&self) -> u64 {
-        self.caps.len() + self.inf_count
-    }
-
-    /// `Σ min(capᵢ, level)` over the route's active flows — the bandwidth
-    /// the route demands when its flows are filled to `level`.
-    fn demand_at(&self, level: f64) -> f64 {
-        debug_assert!(level >= 0.0 && level.is_finite());
-        let (count, sum) = self.caps.prefix(level.to_bits());
-        sum + level * (self.active() - count) as f64
+/// Applies `over` (a negative, over-drained byte count) to every link of
+/// a route, in route order.
+fn refund(links: &mut [Link], route_links: &[LinkId], over: f64) {
+    for &link in route_links {
+        links[link.0 as usize].bytes_transferred += over;
     }
 }
 
@@ -154,9 +109,9 @@ impl Route {
 pub struct NetworkGraph {
     links: Vec<Link>,
     routes: Vec<Route>,
-    flows: BTreeMap<FlowId, Flow>,
-    /// Flows with zero bytes remaining, completing "now".
-    drained: BTreeSet<FlowId>,
+    /// The route each active flow is on.  Only ever looked up, never
+    /// iterated, so its hash order cannot reach any output.
+    flows: HashMap<FlowId, RouteId>,
     last_event: SimTime,
 }
 
@@ -206,7 +161,6 @@ impl NetworkGraph {
         }
         self.routes.push(Route {
             links: links.to_vec(),
-            level: f64::INFINITY,
             ..Route::default()
         });
         id
@@ -241,12 +195,6 @@ impl NetworkGraph {
     /// `None` when no link on the route is saturated.
     pub fn route_bottleneck(&self, route: RouteId) -> Option<LinkId> {
         self.routes[route.0 as usize].bottleneck
-    }
-
-    /// The water level of a route's bottleneck (the rate of each of its
-    /// unfrozen flows); `f64::INFINITY` when the route is unsaturated.
-    pub fn route_level(&self, route: RouteId) -> f64 {
-        self.routes[route.0 as usize].level
     }
 
     /// Number of currently active flows.
@@ -300,83 +248,24 @@ impl NetworkGraph {
             !r.links.is_empty() || rate_cap.is_finite(),
             "a flow on an empty route must carry a finite cap"
         );
-        if bytes <= 0.0 {
-            self.flows.insert(
-                id,
-                Flow {
-                    route,
-                    rate_cap,
-                    regime: Regime::Drained,
-                },
-            );
-            self.drained.insert(id);
-        } else {
-            let v_finish = r.vtime + bytes;
-            r.sharing.insert((v_finish.to_bits(), id));
-            if rate_cap.is_finite() {
-                r.caps.insert(rate_cap);
-                r.sharing_by_cap.insert((rate_cap.to_bits(), id));
-            } else {
-                r.inf_count += 1;
-            }
-            self.flows.insert(
-                id,
-                Flow {
-                    route,
-                    rate_cap,
-                    regime: Regime::Sharing { v_finish },
-                },
-            );
-        }
+        r.flows.admit(id, bytes, rate_cap);
+        self.flows.insert(id, route);
         self.reallocate();
     }
 
     /// Removes a flow, returning the bytes it had not yet transferred.
     pub fn finish_flow(&mut self, id: FlowId, now: SimTime) -> Option<f64> {
         self.advance(now);
-        let flow = self.flows.remove(&id)?;
-        let now_secs = self.last_event.as_secs_f64();
-        let route = &mut self.routes[flow.route.0 as usize];
-        let remaining = match flow.regime {
-            Regime::Drained => {
-                self.drained.remove(&id);
-                0.0
-            }
-            Regime::Sharing { v_finish } => {
-                route.sharing.remove(&(v_finish.to_bits(), id));
-                if flow.rate_cap.is_finite() {
-                    route.caps.remove(flow.rate_cap);
-                    route.sharing_by_cap.remove(&(flow.rate_cap.to_bits(), id));
-                } else {
-                    route.inf_count -= 1;
-                }
-                let r = v_finish - route.vtime;
-                if r < 0.0 {
-                    // The caller advanced (at most a clock tick) past the
-                    // exact finish; refund the over-charged bytes.
-                    for &link in &route.links {
-                        self.links[link.0 as usize].bytes_transferred += r;
-                    }
-                }
-                r.max(0.0)
-            }
-            Regime::Capped {
-                r_ref,
-                t_ref_secs,
-                finish_secs,
-            } => {
-                route.capped.remove(&(finish_secs.to_bits(), id));
-                route.capped_by_cap.remove(&(flow.rate_cap.to_bits(), id));
-                route.caps.remove(flow.rate_cap);
-                let r = r_ref - flow.rate_cap * (now_secs - t_ref_secs);
-                if r < 0.0 && r.is_finite() {
-                    for &link in &route.links {
-                        self.links[link.0 as usize].bytes_transferred += r;
-                    }
-                }
-                r.max(0.0)
-            }
-        };
+        let route = self.flows.remove(&id)?;
+        let Route {
+            links: route_links,
+            flows,
+            ..
+        } = &mut self.routes[route.0 as usize];
+        let links = &mut self.links;
+        let remaining = flows
+            .remove(id, self.last_event, |over| refund(links, route_links, over))
+            .expect("a flow is in its route's set");
         self.sweep_completed();
         self.reallocate();
         Some(remaining)
@@ -385,62 +274,17 @@ impl NetworkGraph {
     /// Changes the private rate cap of an active flow.
     pub fn set_rate_cap(&mut self, id: FlowId, rate_cap: Bandwidth, now: SimTime) {
         self.advance(now);
-        if !self.flows.contains_key(&id) {
+        let Some(&route) = self.flows.get(&id) else {
             return;
-        }
+        };
         self.sweep_completed();
-        let flow = self.flows.get(&id).expect("presence checked above").clone();
         let rate_cap = rate_cap.max(0.0);
-        let route = &mut self.routes[flow.route.0 as usize];
+        let route = &mut self.routes[route.0 as usize];
         assert!(
             !route.links.is_empty() || rate_cap.is_finite(),
             "a flow on an empty route must carry a finite cap"
         );
-        if flow.rate_cap.to_bits() == rate_cap.to_bits() {
-            self.reallocate();
-            return;
-        }
-        let now_secs = self.last_event.as_secs_f64();
-        match flow.regime {
-            Regime::Drained => {}
-            Regime::Sharing { .. } => {
-                if flow.rate_cap.is_finite() {
-                    route.caps.remove(flow.rate_cap);
-                    route.sharing_by_cap.remove(&(flow.rate_cap.to_bits(), id));
-                } else {
-                    route.inf_count -= 1;
-                }
-                if rate_cap.is_finite() {
-                    route.caps.insert(rate_cap);
-                    route.sharing_by_cap.insert((rate_cap.to_bits(), id));
-                } else {
-                    route.inf_count += 1;
-                }
-            }
-            Regime::Capped {
-                r_ref,
-                t_ref_secs,
-                finish_secs,
-            } => {
-                // Materialize the remaining bytes and re-enter as sharing;
-                // the reallocation below re-freezes the flow if its new cap
-                // is still under the route's water level.
-                route.caps.remove(flow.rate_cap);
-                route.capped.remove(&(finish_secs.to_bits(), id));
-                route.capped_by_cap.remove(&(flow.rate_cap.to_bits(), id));
-                let r = r_ref - flow.rate_cap * (now_secs - t_ref_secs);
-                let v_finish = route.vtime + r.max(0.0);
-                route.sharing.insert((v_finish.to_bits(), id));
-                if rate_cap.is_finite() {
-                    route.caps.insert(rate_cap);
-                    route.sharing_by_cap.insert((rate_cap.to_bits(), id));
-                } else {
-                    route.inf_count += 1;
-                }
-                self.flows.get_mut(&id).expect("flow exists").regime = Regime::Sharing { v_finish };
-            }
-        }
-        self.flows.get_mut(&id).expect("flow exists").rate_cap = rate_cap;
+        route.flows.set_cap(id, rate_cap, self.last_event);
         self.reallocate();
     }
 
@@ -455,9 +299,7 @@ impl NetworkGraph {
             link.bytes_transferred += link.agg_rate * elapsed;
         }
         for route in &mut self.routes {
-            if !route.sharing.is_empty() && route.level.is_finite() {
-                route.vtime += route.level * elapsed;
-            }
+            route.flows.advance(elapsed);
         }
         self.last_event = now;
     }
@@ -466,38 +308,10 @@ impl NetworkGraph {
     /// active flow has both bytes remaining and a positive rate.  Pure and
     /// stable between mutations, like `FluidLink::peek_completion`.
     pub fn peek_completion(&self) -> Option<(SimTime, FlowId)> {
-        let mut best: Option<(SimTime, FlowId)> = None;
-        let mut consider = |candidate: (SimTime, FlowId)| {
-            best = Some(match best {
-                Some(b) if b <= candidate => b,
-                _ => candidate,
-            });
-        };
-        if let Some(&id) = self.drained.iter().next() {
-            consider((self.last_event, id));
-        }
-        for route in &self.routes {
-            if let Some(&(v_bits, id)) = route.sharing.iter().next() {
-                let v_finish = f64::from_bits(v_bits);
-                if v_finish <= route.vtime {
-                    consider((self.last_event, id));
-                } else {
-                    let secs = (v_finish - route.vtime) / route.level;
-                    if secs.is_finite() {
-                        consider((self.last_event + ceil_micros(secs), id));
-                    }
-                }
-            }
-            if let Some(&(f_bits, id)) = route.capped.iter().next() {
-                let finish_secs = f64::from_bits(f_bits);
-                if finish_secs.is_finite() {
-                    let t = SimTime::from_micros((finish_secs * 1_000_000.0).ceil() as u64)
-                        .max(self.last_event);
-                    consider((t, id));
-                }
-            }
-        }
-        best
+        self.routes
+            .iter()
+            .filter_map(|route| route.flows.peek(self.last_event))
+            .min()
     }
 
     /// [`Self::peek_completion`] after advancing the model to `now`.
@@ -508,90 +322,27 @@ impl NetworkGraph {
 
     /// Remaining bytes for a flow, if it is active.
     pub fn remaining_bytes(&self, id: FlowId) -> Option<f64> {
-        let flow = self.flows.get(&id)?;
-        let route = &self.routes[flow.route.0 as usize];
-        Some(match flow.regime {
-            Regime::Drained => 0.0,
-            Regime::Sharing { v_finish } => (v_finish - route.vtime).max(0.0),
-            Regime::Capped {
-                r_ref, t_ref_secs, ..
-            } => (r_ref - flow.rate_cap * (self.last_event.as_secs_f64() - t_ref_secs)).max(0.0),
-        })
+        let route = self.flows.get(&id)?;
+        self.routes[route.0 as usize]
+            .flows
+            .remaining_bytes(id, self.last_event)
     }
 
     /// The rate currently allocated to a flow in bytes/s, if it is active.
     pub fn current_rate(&self, id: FlowId) -> Option<Bandwidth> {
-        let flow = self.flows.get(&id)?;
-        Some(match flow.regime {
-            Regime::Drained => 0.0,
-            Regime::Sharing { .. } => self.routes[flow.route.0 as usize].level,
-            Regime::Capped { .. } => flow.rate_cap,
-        })
+        let route = self.flows.get(&id)?;
+        self.routes[route.0 as usize].flows.current_rate(id)
     }
 
-    /// Moves flows that already finished into the drained state, releasing
-    /// their share (the lazy analogue of progressive filling's
-    /// `remaining > 0` filter).
+    /// Retires flows that already finished, route by route, refunding
+    /// over-drained bytes to every link on the route.
     fn sweep_completed(&mut self) {
-        let now_secs = self.last_event.as_secs_f64();
-        for route_index in 0..self.routes.len() {
-            loop {
-                let route = &self.routes[route_index];
-                let Some(&(v_bits, id)) = route.sharing.iter().next() else {
-                    break;
-                };
-                let v_finish = f64::from_bits(v_bits);
-                if v_finish > route.vtime {
-                    break;
-                }
-                let route = &mut self.routes[route_index];
-                route.sharing.remove(&(v_bits, id));
-                let flow = self.flows.get(&id).expect("indexed flow exists").clone();
-                if flow.rate_cap.is_finite() {
-                    route.caps.remove(flow.rate_cap);
-                    route.sharing_by_cap.remove(&(flow.rate_cap.to_bits(), id));
-                } else {
-                    route.inf_count -= 1;
-                }
-                let over = v_finish - route.vtime;
-                if over < 0.0 {
-                    for link_index in 0..self.routes[route_index].links.len() {
-                        let link = self.routes[route_index].links[link_index];
-                        self.links[link.0 as usize].bytes_transferred += over;
-                    }
-                }
-                self.flows.get_mut(&id).expect("flow exists").regime = Regime::Drained;
-                self.drained.insert(id);
-            }
-            loop {
-                let route = &self.routes[route_index];
-                let Some(&(f_bits, id)) = route.capped.iter().next() else {
-                    break;
-                };
-                let finish_secs = f64::from_bits(f_bits);
-                if finish_secs > now_secs {
-                    break;
-                }
-                let route = &mut self.routes[route_index];
-                route.capped.remove(&(f_bits, id));
-                let flow = self.flows.get(&id).expect("indexed flow exists").clone();
-                route.caps.remove(flow.rate_cap);
-                route.capped_by_cap.remove(&(flow.rate_cap.to_bits(), id));
-                if let Regime::Capped {
-                    r_ref, t_ref_secs, ..
-                } = flow.regime
-                {
-                    let over = r_ref - flow.rate_cap * (now_secs - t_ref_secs);
-                    if over < 0.0 {
-                        for link_index in 0..self.routes[route_index].links.len() {
-                            let link = self.routes[route_index].links[link_index];
-                            self.links[link.0 as usize].bytes_transferred += over;
-                        }
-                    }
-                }
-                self.flows.get_mut(&id).expect("flow exists").regime = Regime::Drained;
-                self.drained.insert(id);
-            }
+        let links = &mut self.links;
+        for route in &mut self.routes {
+            let route_links = &route.links;
+            route
+                .flows
+                .sweep(self.last_event, |over| refund(links, route_links, over));
         }
     }
 
@@ -605,28 +356,18 @@ impl NetworkGraph {
     /// other links.  At most `L` rounds, so the whole pass costs
     /// O(L² · R_ℓ · log² C) plus O(log C) per flow that actually flips.
     fn reallocate(&mut self) {
-        // Degenerate graph (one link, one route): the allocation is exactly
-        // FluidLink's single water-level query — skip the round machinery
-        // and its scratch allocations.  This is the shape every
-        // pre-topology scenario (a direct `TopologySpec`) runs on each
-        // flow event, so it must stay O(log C).
-        if self.links.len() == 1 && self.routes.len() == 1 {
-            let route = &self.routes[0];
-            let (level, bottleneck) = if route.active() == 0 {
-                (f64::INFINITY, None)
-            } else {
-                let wl = route
-                    .caps
-                    .water_level(self.links[0].capacity, route.active());
-                if wl.level.is_finite() {
-                    (wl.level, Some(LinkId(0)))
-                } else {
-                    // Spare capacity: every flow saturates its own cap.
-                    (f64::INFINITY, None)
-                }
-            };
-            self.apply_levels(&[level], &[bottleneck]);
-            return;
+        // One link and one route over it: the allocation is exactly
+        // FluidLink's single-level fill — skip the round machinery and its
+        // scratch allocations.  This is the shape every pre-topology
+        // scenario (a direct `TopologySpec`) runs on each flow event, so it
+        // must stay O(log C).
+        if let ([link], [route]) = (&mut self.links[..], &mut self.routes[..]) {
+            if route.links.len() == 1 {
+                let level = route.flows.fill(link.capacity, self.last_event);
+                route.bottleneck = level.is_finite().then_some(LinkId(0));
+                link.agg_rate = route.flows.aggregate_rate();
+                return;
+            }
         }
         let link_count = self.links.len();
         let route_count = self.routes.len();
@@ -640,7 +381,7 @@ impl NetworkGraph {
         // Routes with no active flows are permanently frozen at ∞ so they
         // never contribute demand.
         for (index, route) in self.routes.iter().enumerate() {
-            if route.active() == 0 {
+            if route.flows.active() == 0 {
                 frozen[index] = true;
             }
         }
@@ -651,20 +392,20 @@ impl NetworkGraph {
                 if saturated[link_index] {
                     continue;
                 }
-                let live: Vec<&Route> = link
+                let live: Vec<&FairShareSet> = link
                     .routes
                     .iter()
                     .filter(|r| !frozen[r.0 as usize])
-                    .map(|r| &self.routes[r.0 as usize])
+                    .map(|r| &self.routes[r.0 as usize].flows)
                     .collect();
                 if live.is_empty() {
                     continue;
                 }
                 // A link whose total demand never reaches its capacity
                 // cannot saturate.
-                let inf_any = live.iter().any(|r| r.inf_count > 0);
+                let inf_any = live.iter().any(|r| r.has_uncapped());
                 if !inf_any {
-                    let total: f64 = live.iter().map(|r| r.caps.sum()).sum();
+                    let total: f64 = live.iter().map(|r| r.caps().sum()).sum();
                     if fixed[link_index] + total <= link.capacity {
                         continue;
                     }
@@ -680,7 +421,7 @@ impl NetworkGraph {
                 };
                 let mut threshold: Option<u64> = None;
                 for route in &live {
-                    if let Some(bits) = route.caps.partition_max(pred) {
+                    if let Some(bits) = route.caps().partition_max(pred) {
                         threshold = Some(match threshold {
                             Some(t) => t.max(bits),
                             None => bits,
@@ -689,7 +430,7 @@ impl NetworkGraph {
                 }
                 let (sat_count, sat_sum) = match threshold {
                     Some(bits) => live.iter().fold((0u64, 0.0f64), |(c, s), r| {
-                        let (rc, rs) = r.caps.prefix(bits);
+                        let (rc, rs) = r.caps().prefix(bits);
                         (c + rc, s + rs)
                     }),
                     None => (0, 0.0),
@@ -719,7 +460,7 @@ impl NetworkGraph {
                 frozen[index] = true;
                 new_level[index] = level;
                 new_bottleneck[index] = Some(LinkId(link_index as u32));
-                let demand = self.routes[index].demand_at(level);
+                let demand = self.routes[index].flows.demand_at(level);
                 for &other in &self.routes[index].links {
                     if other.0 as usize != link_index {
                         fixed[other.0 as usize] += demand;
@@ -728,103 +469,24 @@ impl NetworkGraph {
             }
         }
 
-        self.apply_levels(&new_level, &new_bottleneck);
-    }
-
-    /// Applies freshly computed per-route water levels: flips flows
-    /// crossing their route's level and refreshes the aggregate rates.
-    fn apply_levels(&mut self, new_level: &[f64], new_bottleneck: &[Option<LinkId>]) {
-        let now_secs = self.last_event.as_secs_f64();
+        // Apply the new levels (flipping flows that cross them) and refresh
+        // the per-link aggregate rates.
         for (index, route) in self.routes.iter_mut().enumerate() {
-            route.level = new_level[index];
             route.bottleneck = new_bottleneck[index];
-            let level = new_level[index];
-            let level_bits = level.to_bits();
-
-            // Capped flows whose cap rose above the (lowered) level go back
-            // to sharing.
-            let to_share: Vec<(u64, FlowId)> = route
-                .capped_by_cap
-                .range((
-                    Bound::Excluded((level_bits, FlowId(u64::MAX))),
-                    Bound::Unbounded,
-                ))
-                .copied()
-                .collect();
-            for (cap_bits, id) in to_share {
-                route.capped_by_cap.remove(&(cap_bits, id));
-                let flow = self.flows.get_mut(&id).expect("indexed flow exists");
-                let Regime::Capped {
-                    r_ref,
-                    t_ref_secs,
-                    finish_secs,
-                } = flow.regime
-                else {
-                    unreachable!("capped index points at a non-capped flow");
-                };
-                let remaining = r_ref - flow.rate_cap * (now_secs - t_ref_secs);
-                let v_finish = route.vtime + remaining;
-                flow.regime = Regime::Sharing { v_finish };
-                route.capped.remove(&(finish_secs.to_bits(), id));
-                route.sharing.insert((v_finish.to_bits(), id));
-                route.sharing_by_cap.insert((cap_bits, id));
-            }
-
-            // Sharing flows whose cap sank to or below the level freeze at
-            // their cap (an infinite level freezes every finite-cap flow).
-            let to_freeze: Vec<(u64, FlowId)> = route
-                .sharing_by_cap
-                .range((
-                    Bound::Unbounded,
-                    Bound::Included((level_bits, FlowId(u64::MAX))),
-                ))
-                .copied()
-                .collect();
-            for (cap_bits, id) in to_freeze {
-                route.sharing_by_cap.remove(&(cap_bits, id));
-                let flow = self.flows.get_mut(&id).expect("indexed flow exists");
-                let Regime::Sharing { v_finish } = flow.regime else {
-                    unreachable!("sharing index points at a non-sharing flow");
-                };
-                let r_ref = v_finish - route.vtime;
-                let finish_secs = now_secs + r_ref / flow.rate_cap;
-                flow.regime = Regime::Capped {
-                    r_ref,
-                    t_ref_secs: now_secs,
-                    finish_secs,
-                };
-                route.sharing.remove(&(v_finish.to_bits(), id));
-                route.capped.insert((finish_secs.to_bits(), id));
-                route.capped_by_cap.insert((cap_bits, id));
-            }
-
+            route.flows.set_level(new_level[index], self.last_event);
             debug_assert!(
-                route.level.is_finite() || route.inf_count == 0,
+                route.flows.level().is_finite() || !route.flows.has_uncapped(),
                 "an uncapped flow on an unsaturated route has unbounded rate"
             );
-            route.agg_rate = if route.active() == 0 {
-                0.0
-            } else if route.level.is_finite() {
-                route.demand_at(route.level)
-            } else {
-                route.caps.sum()
-            };
         }
         for link in &mut self.links {
             link.agg_rate = link
                 .routes
                 .iter()
-                .map(|r| self.routes[r.0 as usize].agg_rate)
+                .map(|r| self.routes[r.0 as usize].flows.aggregate_rate())
                 .sum();
         }
     }
-}
-
-/// Rounds a span of seconds *up* to the clock's microsecond resolution so
-/// that advancing to the reported completion time always drains the flow
-/// completely.
-fn ceil_micros(secs: f64) -> SimDuration {
-    SimDuration::from_micros((secs * 1_000_000.0).ceil().max(0.0) as u64)
 }
 
 #[cfg(test)]
@@ -969,6 +631,19 @@ mod tests {
         assert_eq!(net.current_rate(FlowId(1)), Some(50_000.0));
         let (done, _) = net.peek_completion().unwrap();
         assert!((done.as_secs_f64() - 2.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn lone_link_does_not_limit_a_route_that_skips_it() {
+        // One link and one route that does not traverse it: not the
+        // single-link shape, so the flow runs at its own cap.
+        let mut net = NetworkGraph::new();
+        let link = net.add_link(50_000.0);
+        let lonely = net.add_route(&[]);
+        net.start_flow(FlowId(1), lonely, 100_000.0, 80_000.0, t(0.0));
+        assert_eq!(net.current_rate(FlowId(1)), Some(80_000.0));
+        assert_eq!(net.route_bottleneck(lonely), None);
+        assert_eq!(net.link_utilization_bytes_per_sec(link), 0.0);
     }
 
     #[test]

@@ -11,10 +11,12 @@
 //!
 //! * [`NetworkGraph`] — a flow-level graph of shared links with global
 //!   max–min fair sharing, computed incrementally by per-link water-filling
-//!   over `CapMultiset`s and per-route virtual-time completion tracking, so
-//!   a 10k-flow crowd over a multi-hop graph stays near O(E·log C);
+//!   over routes that each keep their flows in one
+//!   `mfc_simnet::FairShareSet` (the core `FluidLink` also runs on), so a
+//!   10k-flow crowd over a multi-hop graph stays near O(E·log C);
 //! * [`NaiveNetwork`] — the textbook progressive-filling algorithm kept as
-//!   the executable specification for the property tests;
+//!   the one executable specification for every sharing model (graphs, and
+//!   `FluidLink` through its one-link case) in the property tests;
 //! * [`TopologySpec`] — serializable scenario descriptions (per-vantage-
 //!   group transit links, optional backbone, cross traffic) that
 //!   `mfc-webserver` instantiates in front of the target's access link and

@@ -5,10 +5,12 @@
 //! event is either a flow reaching its private cap or a link reaching its
 //! capacity; a saturated link freezes every flow through it.  Every
 //! operation is an O(F·L) scan whose correctness is self-evident, which is
-//! the point — the randomized property tests assert that
-//! [`super::NetworkGraph`]'s incremental water-filling core produces the
-//! same rates, remaining bytes, completion times and completion order.
-//! Do not use it outside tests and benches.
+//! the point — it is the one sharing oracle.  The randomized property
+//! tests assert that [`super::NetworkGraph`]'s incremental water-filling
+//! core produces the same rates, remaining bytes, completion times and
+//! completion order, and its one-link case is the reference for
+//! `mfc_simnet::FluidLink` (in those tests and in the `link_scaling/naive_1k`
+//! bench).  Do not use it outside tests and benches.
 
 use std::collections::BTreeMap;
 

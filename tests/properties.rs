@@ -14,7 +14,7 @@ use mfc_core::types::ClientId;
 use mfc_http::{Method, Request, Response, StatusCode, Url};
 use mfc_simcore::stats::{median, percentile};
 use mfc_simcore::{EventHandle, EventQueue, SimDuration, SimRng, SimTime};
-use mfc_simnet::{FlowId, FluidLink, NaiveFluidLink, PopulationProfile, TcpModel, WideAreaModel};
+use mfc_simnet::{FlowId, FluidLink, PopulationProfile, TcpModel, WideAreaModel};
 use mfc_topology::{LinkId, NaiveNetwork, NetworkGraph, RouteId};
 use mfc_webserver::{
     CacheState, ContentCatalog, RequestClass, ServerConfig, ServerEngine, ServerRequest,
@@ -270,10 +270,11 @@ fn fluid_link_never_exceeds_capacity_and_conserves_bytes() {
 }
 
 // -------------------------------------------------------------------
-// Fluid link: the virtual-time / water-level core must match the retained
-// naive progressive-filling model (the executable specification) on rates,
-// completion times and completion order, across arbitrary interleavings of
-// flow arrivals, departures, cap changes and partial advances.
+// Fluid link: the virtual-time / water-level core must match the naive
+// progressive-filling model (the executable specification, `NaiveNetwork`
+// on one link) on rates, completion times and completion order, across
+// arbitrary interleavings of flow arrivals, departures, cap and capacity
+// changes and partial advances.
 // -------------------------------------------------------------------
 
 /// Draws a rate cap: sometimes unlimited, sometimes a broad range, and
@@ -307,7 +308,7 @@ fn times_close(a: SimTime, b: SimTime) -> bool {
 /// disagree about *which* flow completes next, it is a genuine tie: the
 /// naive model itself expects the fast model's pick to finish at the same
 /// clock tick.  `None` when the flow is stalled (zero rate, bytes left).
-fn naive_predicted_completion(naive: &NaiveFluidLink, id: FlowId, now: SimTime) -> Option<SimTime> {
+fn naive_predicted_completion(naive: &NaiveNetwork, id: FlowId, now: SimTime) -> Option<SimTime> {
     let remaining = naive.remaining_bytes(id)?;
     if remaining <= 0.0 {
         return Some(now);
@@ -320,16 +321,23 @@ fn naive_predicted_completion(naive: &NaiveFluidLink, id: FlowId, now: SimTime) 
     Some(now + SimDuration::from_micros(micros))
 }
 
-/// Compares every active flow's rate and remaining bytes between the two
-/// models.  Flows within a byte of completion are exempt from the rate
-/// check: at that boundary the models may legitimately disagree about
-/// whether the flow has already finished (one sees exactly zero, the other
-/// a sub-byte sliver), and a sub-byte flow's rate has no observable effect.
-fn assert_flows_match(fast: &FluidLink, naive: &NaiveFluidLink, active: &[u64], ctx: &str) {
+/// Compares every active flow's rate and remaining bytes between a fast
+/// model (read through `remaining` and `rate`) and the reference.  Flows
+/// within a byte of completion are exempt from the rate check: at that
+/// boundary the models may legitimately disagree about whether the flow
+/// has already finished (one sees exactly zero, the other a sub-byte
+/// sliver), and a sub-byte flow's rate has no observable effect.
+fn assert_flows_match(
+    remaining: impl Fn(FlowId) -> Option<f64>,
+    rate: impl Fn(FlowId) -> Option<f64>,
+    naive: &NaiveNetwork,
+    active: &[u64],
+    ctx: &str,
+) {
     for &id in active {
         let flow = FlowId(id);
         let naive_left = naive.remaining_bytes(flow).expect("active in naive");
-        let fast_left = fast.remaining_bytes(flow).expect("active in fast");
+        let fast_left = remaining(flow).expect("active in fast");
         assert!(
             (naive_left - fast_left).abs() <= 1e-6 * naive_left.max(fast_left) + 1.0,
             "remaining bytes diverged for flow {id}: {naive_left} vs {fast_left} ({ctx})"
@@ -338,7 +346,7 @@ fn assert_flows_match(fast: &FluidLink, naive: &NaiveFluidLink, active: &[u64], 
             continue;
         }
         let naive_rate = naive.current_rate(flow).expect("active in naive");
-        let fast_rate = fast.current_rate(flow).expect("active in fast");
+        let fast_rate = rate(flow).expect("active in fast");
         assert_close(naive_rate, fast_rate, &format!("rate of flow {id}"), ctx);
     }
 }
@@ -349,14 +357,15 @@ fn fluid_link_matches_naive_reference_under_random_ops() {
     for case in 0..CASES {
         let capacity = rng.uniform(1e5, 1e7);
         let mut fast = FluidLink::new(capacity);
-        let mut naive = NaiveFluidLink::new(capacity);
+        let mut naive = NaiveNetwork::new();
+        let link = naive.add_link(capacity);
         let mut active: Vec<u64> = Vec::new();
         let mut next_id = 0u64;
         let mut now = SimTime::ZERO;
         let ops = rng.index(100) + 40;
         for op in 0..ops {
             let ctx = format!("case {case} op {op}");
-            match rng.index(10) {
+            match rng.index(11) {
                 // Arrival.
                 0..=3 => {
                     let bytes = if rng.chance(0.05) {
@@ -368,7 +377,7 @@ fn fluid_link_matches_naive_reference_under_random_ops() {
                     let id = next_id;
                     next_id += 1;
                     fast.start_flow(FlowId(id), bytes, cap, now);
-                    naive.start_flow(FlowId(id), bytes, cap, now);
+                    naive.start_flow(FlowId(id), &[link], bytes, cap, now);
                     active.push(id);
                 }
                 // Timeout-style removal of a random flow.
@@ -430,7 +439,7 @@ fn fluid_link_matches_naive_reference_under_random_ops() {
                     }
                 }
                 // Advance part-way towards the next completion.
-                _ => {
+                8..=9 => {
                     if let Some((t, _)) = naive.next_completion(now) {
                         let span = (t - now).as_micros();
                         now += SimDuration::from_micros(rng.uniform_u64(0, span.max(1)));
@@ -438,10 +447,22 @@ fn fluid_link_matches_naive_reference_under_random_ops() {
                         fast.advance(now);
                     }
                 }
+                // Mid-run capacity change.
+                _ => {
+                    let capacity = rng.uniform(1e5, 1e7);
+                    fast.set_capacity(capacity, now);
+                    naive.set_link_capacity(link, capacity, now);
+                }
             }
-            assert_flows_match(&fast, &naive, &active, &ctx);
+            assert_flows_match(
+                |f| fast.remaining_bytes(f),
+                |f| fast.current_rate(f),
+                &naive,
+                &active,
+                &ctx,
+            );
             assert_close(
-                naive.utilization_bytes_per_sec(),
+                naive.link_utilization_bytes_per_sec(link),
                 fast.utilization_bytes_per_sec(),
                 "utilization",
                 &ctx,
@@ -478,7 +499,7 @@ fn fluid_link_matches_naive_reference_under_random_ops() {
             active.retain(|&x| x != idn.0);
         }
         assert_close(
-            naive.bytes_transferred(),
+            naive.link_bytes_transferred(link),
             fast.bytes_transferred(),
             "total bytes transferred",
             &format!("case {case}"),
@@ -530,46 +551,6 @@ fn fluid_link_ten_thousand_flows_are_deterministic_and_fast() {
 // Multi-hop network graph: the incremental water-filling core must match
 // the textbook progressive-filling specification on arbitrary topologies.
 // -------------------------------------------------------------------
-
-/// The naive network's own prediction of when `id` would finish; see
-/// [`naive_predicted_completion`].
-fn naive_net_predicted_completion(
-    naive: &NaiveNetwork,
-    id: FlowId,
-    now: SimTime,
-) -> Option<SimTime> {
-    let remaining = naive.remaining_bytes(id)?;
-    if remaining <= 0.0 {
-        return Some(now);
-    }
-    let rate = naive.current_rate(id)?;
-    if rate <= 0.0 {
-        return None;
-    }
-    let micros = (remaining / rate * 1_000_000.0).ceil().max(0.0) as u64;
-    Some(now + SimDuration::from_micros(micros))
-}
-
-/// Compares every active flow's rate and remaining bytes between the graph
-/// and the reference, with the same completion-boundary exemption as the
-/// single-link test.
-fn assert_net_flows_match(fast: &NetworkGraph, naive: &NaiveNetwork, active: &[u64], ctx: &str) {
-    for &id in active {
-        let flow = FlowId(id);
-        let naive_left = naive.remaining_bytes(flow).expect("active in naive");
-        let fast_left = fast.remaining_bytes(flow).expect("active in fast");
-        assert!(
-            (naive_left - fast_left).abs() <= 1e-6 * naive_left.max(fast_left) + 1.0,
-            "remaining bytes diverged for flow {id}: {naive_left} vs {fast_left} ({ctx})"
-        );
-        if naive_left < 1.0 || fast_left < 1.0 {
-            continue;
-        }
-        let naive_rate = naive.current_rate(flow).expect("active in naive");
-        let fast_rate = fast.current_rate(flow).expect("active in fast");
-        assert_close(naive_rate, fast_rate, &format!("rate of flow {id}"), ctx);
-    }
-}
 
 #[test]
 fn network_graph_matches_naive_progressive_filling_on_random_topologies() {
@@ -660,7 +641,7 @@ fn network_graph_matches_naive_progressive_filling_on_random_topologies() {
                                 "completion times diverged: {tn:?} vs {tf:?} ({ctx})"
                             );
                             if idn != idf {
-                                let predicted = naive_net_predicted_completion(&naive, idf, now)
+                                let predicted = naive_predicted_completion(&naive, idf, now)
                                     .unwrap_or_else(|| panic!("{idf:?} stalled in naive ({ctx})"));
                                 assert!(
                                     times_close(tn, predicted),
@@ -690,7 +671,13 @@ fn network_graph_matches_naive_progressive_filling_on_random_topologies() {
                     }
                 }
             }
-            assert_net_flows_match(&fast, &naive, &active, &ctx);
+            assert_flows_match(
+                |f| fast.remaining_bytes(f),
+                |f| fast.current_rate(f),
+                &naive,
+                &active,
+                &ctx,
+            );
             for &link in &links {
                 assert_close(
                     naive.link_utilization_bytes_per_sec(link),
@@ -714,7 +701,7 @@ fn network_graph_matches_naive_progressive_filling_on_random_topologies() {
                 "case {case}: drain completion times diverged: {tn:?} vs {tf:?}"
             );
             if idn != idf {
-                let predicted = naive_net_predicted_completion(&naive, idf, now)
+                let predicted = naive_predicted_completion(&naive, idf, now)
                     .unwrap_or_else(|| panic!("case {case}: {idf:?} stalled in naive"));
                 assert!(
                     times_close(tn, predicted),
@@ -741,7 +728,9 @@ fn network_graph_matches_naive_progressive_filling_on_random_topologies() {
 #[test]
 fn single_link_network_graph_matches_fluid_link() {
     // The degenerate graph (one link, one route) must behave exactly like
-    // the single-bottleneck FluidLink every pre-topology scenario uses.
+    // the single-bottleneck FluidLink every pre-topology scenario uses:
+    // both run one fair-share set with the same single-level fill, so every
+    // observable agrees to the bit.
     let mut rng = SimRng::seed_from(0x0702);
     for case in 0..CASES {
         let capacity = rng.uniform(1e5, 1e7);
@@ -751,11 +740,18 @@ fn single_link_network_graph_matches_fluid_link() {
         let mut fluid = FluidLink::new(capacity);
         let mut active: Vec<u64> = Vec::new();
         let mut now = SimTime::ZERO;
+        let same = |a: f64, b: f64, what: &str, ctx: &str| {
+            assert_eq!(a.to_bits(), b.to_bits(), "{ctx}: {what} {a} vs {b}");
+        };
         for op in 0..60 {
             let ctx = format!("case {case} op {op}");
-            match rng.index(8) {
+            match rng.index(11) {
                 0..=3 => {
-                    let bytes = rng.uniform(1_000.0, 5e6);
+                    let bytes = if rng.chance(0.05) {
+                        0.0
+                    } else {
+                        rng.uniform(1_000.0, 5e6)
+                    };
                     let cap = random_cap(&mut rng);
                     let id = op as u64 + case as u64 * 1_000;
                     graph.start_flow(FlowId(id), route, bytes, cap, now);
@@ -767,13 +763,33 @@ fn single_link_network_graph_matches_fluid_link() {
                         let id = active.swap_remove(rng.index(active.len()));
                         let a = fluid.finish_flow(FlowId(id), now).expect("active");
                         let b = graph.finish_flow(FlowId(id), now).expect("active");
-                        assert!((a - b).abs() <= 1e-6 * a.max(b) + 1.0, "{ctx}: {a} vs {b}");
+                        same(a, b, "returned remaining", &ctx);
                     }
                 }
                 5 => {
                     let capacity = rng.uniform(1e5, 1e7);
                     graph.set_link_capacity(link, capacity, now);
                     fluid.set_capacity(capacity, now);
+                }
+                6 => {
+                    if !active.is_empty() {
+                        let id = active[rng.index(active.len())];
+                        let cap = random_cap(&mut rng);
+                        graph.set_rate_cap(FlowId(id), cap, now);
+                        fluid.set_rate_cap(FlowId(id), cap, now);
+                    }
+                }
+                // Run to the next completion and retire that flow.
+                7..=8 => {
+                    let next = fluid.peek_completion();
+                    assert_eq!(next, graph.peek_completion(), "{ctx}: peeks diverged");
+                    if let Some((t, id)) = next {
+                        now = now.max(t);
+                        let a = fluid.finish_flow(id, now).expect("active");
+                        let b = graph.finish_flow(id, now).expect("active");
+                        same(a, b, "completed remaining", &ctx);
+                        active.retain(|&x| x != id.0);
+                    }
                 }
                 _ => {
                     now += SimDuration::from_micros(rng.uniform_u64(0, 400_000));
@@ -782,31 +798,37 @@ fn single_link_network_graph_matches_fluid_link() {
                 }
             }
             for &id in &active {
-                let a = fluid.remaining_bytes(FlowId(id)).expect("active");
-                let b = graph.remaining_bytes(FlowId(id)).expect("active");
-                assert!(
-                    (a - b).abs() <= 1e-6 * a.max(b) + 1.0,
-                    "{ctx}: remaining {a} vs {b}"
+                let flow = FlowId(id);
+                same(
+                    fluid.remaining_bytes(flow).expect("active"),
+                    graph.remaining_bytes(flow).expect("active"),
+                    &format!("remaining of {id}"),
+                    &ctx,
                 );
-                if a >= 1.0 && b >= 1.0 {
-                    assert_close(
-                        fluid.current_rate(FlowId(id)).expect("active"),
-                        graph.current_rate(FlowId(id)).expect("active"),
-                        &format!("rate of {id}"),
-                        &ctx,
-                    );
-                }
+                same(
+                    fluid.current_rate(flow).expect("active"),
+                    graph.current_rate(flow).expect("active"),
+                    &format!("rate of {id}"),
+                    &ctx,
+                );
             }
-            match (fluid.peek_completion(), graph.peek_completion()) {
-                (None, None) => {}
-                (Some((ta, _)), Some((tb, _))) => {
-                    assert!(
-                        times_close(ta, tb),
-                        "{ctx}: peeks diverged {ta:?} vs {tb:?}"
-                    );
-                }
-                (a, b) => panic!("{ctx}: one model peeks a completion: {a:?} vs {b:?}"),
-            }
+            assert_eq!(
+                fluid.peek_completion(),
+                graph.peek_completion(),
+                "{ctx}: peeks diverged"
+            );
+            same(
+                fluid.utilization_bytes_per_sec(),
+                graph.link_utilization_bytes_per_sec(link),
+                "utilization",
+                &ctx,
+            );
+            same(
+                fluid.bytes_transferred(),
+                graph.link_bytes_transferred(link),
+                "bytes transferred",
+                &ctx,
+            );
         }
     }
 }

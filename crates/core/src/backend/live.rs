@@ -8,6 +8,9 @@
 //! localhost, which also exposes the arrival log the paper obtained from
 //! cooperating operators.
 //!
+//! Like every backend it reports raw response times; the coordinator
+//! normalizes them against the base each client measured.
+//!
 //! The live backend demonstrates that the coordinator logic is not tied to
 //! the simulation; it is *not* how the paper-scale experiments are
 //! reproduced (those need hundreds of distinct servers, which only the
@@ -57,8 +60,6 @@ impl Default for LiveBackendConfig {
 struct VirtualClient {
     /// Extra one-way latency applied before this client's requests.
     extra_latency: Duration,
-    /// Base response times keyed by path.
-    base_times: Vec<(String, SimDuration)>,
 }
 
 /// The live execution environment.
@@ -82,7 +83,6 @@ impl LiveBackend {
                     low.as_micros() as u64,
                     high.as_micros().max(low.as_micros()) as u64,
                 )),
-                base_times: Vec::new(),
             })
             .collect();
         let crawler = LiveCrawler::new(Client::new(config.http.clone()), 256);
@@ -154,9 +154,6 @@ impl MfcBackend for LiveBackend {
         } else {
             ProbeStatus::Failed
         };
-        self.clients[index]
-            .base_times
-            .push((request.path.clone(), base_response));
         BaseMeasurement {
             target_rtt: rtt,
             base_response_time: base_response,
@@ -174,12 +171,6 @@ impl MfcBackend for LiveBackend {
                 continue;
             };
             let extra = virtual_client.extra_latency;
-            let base = virtual_client
-                .base_times
-                .iter()
-                .find(|(path, _)| *path == command.request.path)
-                .map(|(_, t)| *t)
-                .unwrap_or(SimDuration::ZERO);
             let url = self.url_for(&command.request);
             let method = Self::method_for(&command.request);
             let client_id = command.client;
@@ -214,7 +205,6 @@ impl MfcBackend for LiveBackend {
                     status,
                     bytes: result.body_bytes as u64,
                     response_time: LiveBackend::to_sim(result.elapsed + extra * 2),
-                    base_response_time: base,
                 }
             }));
         }

@@ -12,6 +12,11 @@
 //! * [`live::LiveBackend`] — drives real `mfc-http` clients from threads
 //!   against any HTTP URL (typically an `mfc-httpd` instance on localhost),
 //!   demonstrating that the same coordinator logic works over real sockets.
+//!
+//! The contract on response times: backends report *raw* times, both for
+//! a client's base measurement and for every epoch probe, and keep no
+//! record of past bases.  The coordinator keeps the base each client
+//! measured for the current stage and is the only code that subtracts it.
 
 pub mod live;
 pub mod sim;
@@ -50,11 +55,12 @@ pub trait MfcBackend {
     fn ping(&mut self, client: ClientId) -> Option<SimDuration>;
 
     /// Has `client` measure its RTT to the target and the base response
-    /// time for `request`, sequentially and without any MFC load.
+    /// time for `request`, sequentially and without any MFC load.  The
+    /// coordinator keeps the result; the backend need not remember it.
     fn measure_base(&mut self, client: ClientId, request: &RequestSpec) -> BaseMeasurement;
 
     /// Executes one epoch: delivers the commands, lets the clients fire
-    /// their requests, and collects their reports.
+    /// their requests, and collects their reports with raw response times.
     fn run_epoch(&mut self, plan: &EpochPlan) -> EpochObservation;
 
     /// Profiles the target's content (the crawl step of §2.2.1).

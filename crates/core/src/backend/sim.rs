@@ -7,7 +7,9 @@
 //! messages travel over a lossy [`mfc_simnet::ControlChannel`], and the
 //! target is a load-balanced [`mfc_webserver::ServerCluster`] (a single
 //! machine is a one-replica cluster), optionally defended and optionally
-//! serving background traffic while the MFC runs.
+//! serving background traffic while the MFC runs.  Like every backend it
+//! reports raw response times; normalizing them against each client's base
+//! is the coordinator's job.
 
 use std::collections::HashMap;
 
@@ -15,10 +17,9 @@ use mfc_dynamics::{DefenseConfig, DefenseStack};
 use mfc_simcore::{SimDuration, SimRng, SimTime};
 use mfc_simnet::{ControlChannel, PopulationProfile, WideAreaModel};
 use mfc_topology::TopologySpec;
-use mfc_webserver::engine::RunResult;
 use mfc_webserver::{
-    BackgroundTraffic, CatalogSampler, ContentCatalog, NullControl, RequestClass, RequestStatus,
-    ServerCluster, ServerConfig, ServerControl, ServerRequest,
+    BackgroundTraffic, CatalogSampler, ContentCatalog, RequestClass, RequestStatus, ServerCluster,
+    ServerConfig, ServerRequest,
 };
 use mfc_workload::{WorkloadSpec, WorkloadStream};
 use serde::{Deserialize, Serialize};
@@ -130,11 +131,6 @@ impl SimTargetSpec {
         self
     }
 
-    /// True when no defense policy is enabled.
-    pub fn is_static_target(&self) -> bool {
-        self.defenses.is_static()
-    }
-
     /// Places shared wide-area bottlenecks between the clients and the
     /// target.  The population's vantage grouping is *derived* from the
     /// topology when the backend is built (one group per transit link,
@@ -148,41 +144,6 @@ impl SimTargetSpec {
     }
 }
 
-/// Interned identifier of a request path within one [`SimBackend`].
-///
-/// Base-time bookkeeping is on the per-request hot path: every epoch command
-/// needs the issuing client's base response time for the same path.  Keying
-/// that map on `(ClientId, PathId)` — two `u32`s — instead of
-/// `(ClientId, String)` removes a `String` allocation *per lookup* (the
-/// `HashMap` borrow rules forced a `path.clone()` for every `get`) and makes
-/// hashing constant-time instead of O(path length).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct PathId(u32);
-
-/// Path → [`PathId`] interner.  A target serves a handful of distinct probe
-/// paths, so this stays tiny; only the *first* sighting of a path allocates.
-#[derive(Debug, Default)]
-struct PathInterner {
-    ids: HashMap<String, PathId>,
-}
-
-impl PathInterner {
-    /// Returns the id for `path`, interning it on first sight.
-    fn intern(&mut self, path: &str) -> PathId {
-        if let Some(id) = self.ids.get(path) {
-            return *id;
-        }
-        let id = PathId(u32::try_from(self.ids.len()).expect("more than u32::MAX paths"));
-        self.ids.insert(path.to_string(), id);
-        id
-    }
-
-    /// The id for `path`, if it has been interned (no allocation).
-    fn get(&self, path: &str) -> Option<PathId> {
-        self.ids.get(path).copied()
-    }
-}
-
 /// The simulated execution environment.
 pub struct SimBackend {
     spec: SimTargetSpec,
@@ -190,16 +151,11 @@ pub struct SimBackend {
     control: ControlChannel,
     /// The serving replicas (one for a single machine).
     cluster: ServerCluster,
-    /// The runtime defense stack, kept across epochs; `None` for static
-    /// targets, which run under [`NullControl`].
-    defense: Option<DefenseStack>,
+    /// The runtime defense stack, kept across epochs.  A static target's
+    /// stack is empty: it never ticks and admits every request.
+    defense: DefenseStack,
     clock: SimTime,
     rng: SimRng,
-    /// Base response times recorded by each client during the sequential
-    /// measurement step, keyed by (client, interned path): the client itself
-    /// computes its normalized response time from these, as in the paper.
-    base_times: HashMap<(ClientId, PathId), SimDuration>,
-    paths: PathInterner,
     next_request_id: u64,
     background_served: u64,
 }
@@ -228,11 +184,10 @@ impl SimBackend {
         };
         let wan = WideAreaModel::generate(&population, client_count, &rng);
         let control = ControlChannel::new(spec.control_loss, 0.05, rng.fork("control"));
-        let defended = !spec.defenses.is_static();
-        let replicas = if defended {
-            spec.defenses.initial_replicas(spec.replicas)
-        } else {
+        let replicas = if spec.defenses.is_static() {
             spec.replicas
+        } else {
+            spec.defenses.initial_replicas(spec.replicas)
         };
         // Shared transit links are instantiated per serving replica, so a
         // fixed-size cluster divides the spec'd capacities to keep the
@@ -246,11 +201,7 @@ impl SimBackend {
         );
         let cluster = ServerCluster::new(spec.server.clone(), spec.catalog.clone(), replicas)
             .with_topology(spec.topology.share_across(replicas));
-        let defense = if defended {
-            Some(spec.defenses.build())
-        } else {
-            None
-        };
+        let defense = spec.defenses.build();
         SimBackend {
             spec,
             wan,
@@ -259,8 +210,6 @@ impl SimBackend {
             defense,
             clock: SimTime::ZERO,
             rng,
-            base_times: HashMap::new(),
-            paths: PathInterner::default(),
             next_request_id: 0,
             background_served: 0,
         }
@@ -289,21 +238,6 @@ impl SimBackend {
             (Stage::SmallQuery, _) => RequestClass::Dynamic,
             (Stage::LargeObject, _) => RequestClass::Static,
         }
-    }
-
-    /// Streams time-ordered requests through the cluster under its
-    /// defenses, or under [`NullControl`] when it has none.  Outcomes come
-    /// back in arrival order.
-    fn serve(
-        cluster: &mut ServerCluster,
-        defense: &mut Option<DefenseStack>,
-        requests: impl Iterator<Item = ServerRequest>,
-    ) -> RunResult {
-        let control: &mut dyn ServerControl = match defense {
-            Some(stack) => stack,
-            None => &mut NullControl,
-        };
-        cluster.run_controlled_streamed(requests, control)
     }
 
     fn alloc_id(&mut self) -> u64 {
@@ -363,15 +297,11 @@ impl MfcBackend for SimBackend {
             client_addr: client.0,
             background: false,
         };
-        let result = Self::serve(
-            &mut self.cluster,
-            &mut self.defense,
-            std::iter::once(server_request),
-        );
+        let result = self
+            .cluster
+            .run_controlled_streamed(std::iter::once(server_request), &mut self.defense);
         let outcome = &result.outcomes[0];
         let response_time = outcome.completion.saturating_since(send_time);
-        let path_id = self.paths.intern(&request.path);
-        self.base_times.insert((client, path_id), response_time);
         // Sequential measurements advance time a little.
         self.clock = self.clock.max(outcome.completion) + SimDuration::from_millis(200);
         BaseMeasurement {
@@ -386,9 +316,8 @@ impl MfcBackend for SimBackend {
         let origin = self.clock;
         let mut lost_commands = 0u32;
         let mut mfc_requests: Vec<ServerRequest> = Vec::new();
-        // (request id, client, interned path, client send time); the path id
-        // is `None` when no base measurement ever interned the path.
-        let mut issued: Vec<(u64, ClientId, Option<PathId>, SimTime)> = Vec::new();
+        // (request id, client, client send time).
+        let mut issued: Vec<(u64, ClientId, SimTime)> = Vec::new();
 
         let mut last_arrival = origin;
         for command in &plan.commands {
@@ -418,12 +347,7 @@ impl MfcBackend for SimBackend {
                 client_addr: command.client.0,
                 background: false,
             });
-            issued.push((
-                id,
-                command.client,
-                self.paths.get(&command.request.path),
-                client_receives,
-            ));
+            issued.push((id, command.client, client_receives));
         }
 
         // Background traffic competes over the whole epoch window, streamed
@@ -463,7 +387,9 @@ impl MfcBackend for SimBackend {
             (Some(_), _) => mfc.next(),
             (None, _) => background.next(),
         });
-        let result = Self::serve(&mut self.cluster, &mut self.defense, merged);
+        let result = self
+            .cluster
+            .run_controlled_streamed(merged, &mut self.defense);
         let background_requests = result.outcomes.iter().filter(|o| o.background).count() as u64;
         self.background_served += background_requests;
 
@@ -476,7 +402,7 @@ impl MfcBackend for SimBackend {
             .collect();
 
         let mut observations = Vec::with_capacity(issued.len());
-        for (id, client, path_id, send_time) in &issued {
+        for (id, client, send_time) in &issued {
             let Some(outcome) = outcome_by_id.get(id) else {
                 continue;
             };
@@ -488,17 +414,12 @@ impl MfcBackend for SimBackend {
             } else {
                 (Self::probe_status(outcome.status), raw_response)
             };
-            let base = path_id
-                .and_then(|path_id| self.base_times.get(&(*client, path_id)))
-                .copied()
-                .unwrap_or(SimDuration::ZERO);
             observations.push(ClientObservation {
                 client: *client,
                 group: self.wan.client(client.0 as usize).group as u32,
                 status,
                 bytes: outcome.body_bytes,
                 response_time,
-                base_response_time: base,
             });
         }
 
@@ -564,6 +485,22 @@ mod tests {
         }
     }
 
+    /// Median of an epoch's response times minus each client's base — the
+    /// quantity the coordinator's detector reads.
+    fn median_normalized_ms(obs: &EpochObservation, bases: &HashMap<ClientId, SimDuration>) -> f64 {
+        let normalized: Vec<f64> = obs
+            .observations
+            .iter()
+            .filter(|o| o.status.produced_sample())
+            .map(|o| {
+                o.response_time
+                    .saturating_sub(bases[&o.client])
+                    .as_millis_f64()
+            })
+            .collect();
+        mfc_simcore::stats::median(&normalized).unwrap_or(0.0)
+    }
+
     fn plan(spec: RequestSpec, clients: &[u32], lead_ms: u64) -> EpochPlan {
         EpochPlan {
             stage: spec.stage,
@@ -616,7 +553,6 @@ mod tests {
         assert_eq!(obs.target_arrivals.len(), obs.observations.len());
         for o in &obs.observations {
             assert!(o.status.produced_sample());
-            assert!(o.base_response_time > SimDuration::ZERO);
         }
     }
 
@@ -624,14 +560,15 @@ mod tests {
     fn large_object_epoch_shows_contention_on_thin_link() {
         let mut backend = backend();
         let spec = large_spec();
-        for c in 0..50u32 {
-            backend.measure_base(ClientId(c), &spec);
-        }
+        let bases: HashMap<ClientId, SimDuration> = (0..50u32)
+            .map(|c| {
+                let m = backend.measure_base(ClientId(c), &spec);
+                (ClientId(c), m.base_response_time)
+            })
+            .collect();
         let few = backend.run_epoch(&plan(spec.clone(), &(0..5u32).collect::<Vec<_>>(), 15_000));
         let many = backend.run_epoch(&plan(spec, &(0..50u32).collect::<Vec<_>>(), 15_000));
-        let median = |obs: &EpochObservation| {
-            mfc_simcore::stats::median(&obs.normalized_ms()).unwrap_or(0.0)
-        };
+        let median = |obs: &EpochObservation| median_normalized_ms(obs, &bases);
         assert!(
             median(&many) > median(&few) + 50.0,
             "50 concurrent 100KB transfers over 10 Mbit/s must visibly contend: {} vs {}",
@@ -764,15 +701,18 @@ mod tests {
         let probe = large_spec();
         let run = |spec: SimTargetSpec| {
             let mut backend = SimBackend::new(spec, 60, 5);
-            for c in 0..40u32 {
-                backend.measure_base(ClientId(c), &probe);
-            }
+            let bases: HashMap<ClientId, SimDuration> = (0..40u32)
+                .map(|c| {
+                    let m = backend.measure_base(ClientId(c), &probe);
+                    (ClientId(c), m.base_response_time)
+                })
+                .collect();
             let obs = backend.run_epoch(&plan(
                 probe.clone(),
                 &(0..40u32).collect::<Vec<_>>(),
                 15_000,
             ));
-            mfc_simcore::stats::median(&obs.normalized_ms()).unwrap_or(0.0)
+            median_normalized_ms(&obs, &bases)
         };
         let single = run(single_spec);
         let cluster = run(cluster_spec);

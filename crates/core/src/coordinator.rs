@@ -5,16 +5,22 @@
 //!
 //! 1. verifies that enough clients registered (50 in the paper),
 //! 2. has every client measure its RTT to the target and the *base*
-//!    response time of the object it would request,
+//!    response time of the object it would request, one client at a time,
+//!    and keeps both in the stage's client record — backends report raw
+//!    response times, and this module is the only code that subtracts a
+//!    client's base from them,
 //! 3. runs epochs with a growing crowd (increments of 5–10), scheduling the
 //!    requests so they arrive simultaneously,
 //! 4. watches the median (or, for Large Object, the 90th-percentile)
-//!    *normalized* response time; when it exceeds the threshold θ at a
-//!    crowd of at least 15 it runs a **check phase** — three more epochs
-//!    with `N−1`, `N` and `N+1` clients — and terminates the stage with a
-//!    *stopping crowd size* as soon as one of them also exceeds θ,
+//!    *normalized* response time — observed minus the client's base,
+//!    floored at zero; when it exceeds the threshold θ at a crowd of at
+//!    least 15 it runs a **check phase** — three more epochs with `N−1`,
+//!    `N` and `N+1` clients — and terminates the stage with a *stopping
+//!    crowd size* as soon as one of them also exceeds θ,
 //! 5. otherwise progresses until the crowd cap is reached and declares the
 //!    sub-system unconstrained ("NoStop").
+
+use std::collections::HashMap;
 
 use mfc_simcore::{stats, SimDuration, SimRng};
 
@@ -25,7 +31,8 @@ use crate::profile::TargetProfile;
 use crate::report::{MfcReport, StageReport};
 use crate::sync::{ClientLatency, SyncScheduler};
 use crate::types::{
-    ClientId, EpochObservation, EpochPlan, EpochSummary, RequestCommand, Stage, StageOutcome,
+    ClientId, ClientObservation, EpochObservation, EpochPlan, EpochSummary, RequestCommand,
+    RequestSpec, Stage, StageOutcome,
 };
 
 /// Why an MFC experiment could not run.
@@ -61,17 +68,48 @@ impl std::fmt::Display for MfcError {
 
 impl std::error::Error for MfcError {}
 
-/// Per-client state the coordinator keeps during a stage.
+/// One client's part in a stage: its latencies for the scheduler and the
+/// request it fires in every epoch it joins.
 #[derive(Debug, Clone)]
-struct ClientState {
+struct StageClient {
     latency: ClientLatency,
+    request: RequestSpec,
 }
 
-/// Accumulated state of one stage run: the epoch trace, the request
-/// budget, and the background-rate baseline the quiescence policy
-/// compares against.
-#[derive(Debug, Default)]
-struct StageRun {
+/// The per-stage client record built by the measurement step: the measured
+/// clients in registration order, and each one's base response time.
+#[derive(Debug)]
+struct StageRecord {
+    stage: Stage,
+    clients: Vec<StageClient>,
+    /// Base response time per client, looked up (never iterated) when an
+    /// observation is normalized.
+    bases: HashMap<ClientId, SimDuration>,
+}
+
+impl StageRecord {
+    /// The normalized response time of one observation in milliseconds:
+    /// observed minus the client's base, floored at zero (paper §2.2.3).
+    /// A client without a base normalizes against zero.
+    fn normalized_ms(&self, observation: &ClientObservation) -> f64 {
+        let base = self
+            .bases
+            .get(&observation.client)
+            .copied()
+            .unwrap_or(SimDuration::ZERO);
+        observation
+            .response_time
+            .saturating_sub(base)
+            .as_millis_f64()
+    }
+}
+
+/// Accumulated state of one stage run: the coordinator's participant
+/// stream, the epoch trace, the request budget, and the background-rate
+/// baseline the quiescence policy compares against.
+#[derive(Debug)]
+struct StageRun<'r> {
+    rng: &'r mut SimRng,
     epochs: Vec<EpochSummary>,
     requests_issued: usize,
     max_crowd_tested: usize,
@@ -108,22 +146,8 @@ impl Coordinator {
     /// Runs the full MFC experiment against `backend`.
     pub fn run(&self, backend: &mut dyn MfcBackend) -> Result<MfcReport, MfcError> {
         self.config.validate().map_err(MfcError::InvalidConfig)?;
-
-        // CLIENTS REGISTER: collect responsive clients.
         let mut rng = SimRng::seed_from(self.seed);
-        let registered = backend.registered_clients();
-        let mut responsive: Vec<(ClientId, SimDuration)> = Vec::new();
-        for client in registered {
-            if let Some(rtt) = backend.ping(client) {
-                responsive.push((client, rtt));
-            }
-        }
-        if responsive.len() < self.config.min_registered_clients {
-            return Err(MfcError::NotEnoughClients {
-                available: responsive.len(),
-                required: self.config.min_registered_clients,
-            });
-        }
+        let responsive = Self::register(backend, self.config.min_registered_clients)?;
 
         // Profiling step.
         let profile = backend.profile_target();
@@ -131,7 +155,8 @@ impl Coordinator {
         let mut stage_reports = Vec::new();
         for stage in self.config.stages.stages() {
             let report = if profile.supports(stage) {
-                self.run_stage(backend, stage, &profile, &responsive, &mut rng)
+                let record = Self::measure(backend, stage, &profile, &responsive);
+                self.run_stage(backend, &record, &mut rng)
             } else {
                 StageReport::skipped(stage)
             };
@@ -157,7 +182,9 @@ impl Coordinator {
     /// 6), where the interesting output is the response time *and* the
     /// server-side resource usage at each crowd size rather than a stopping
     /// crowd; it is also useful to an operator who wants to ask "what does
-    /// a burst of exactly N requests do to my site?".
+    /// a burst of exactly N requests do to my site?".  The summary is
+    /// normalized against the bases measured in this call; the returned
+    /// observation holds the backend's raw response times.
     pub fn probe_crowd(
         &self,
         backend: &mut dyn MfcBackend,
@@ -166,92 +193,95 @@ impl Coordinator {
     ) -> Result<(EpochSummary, EpochObservation), MfcError> {
         self.config.validate().map_err(MfcError::InvalidConfig)?;
         let mut rng = SimRng::seed_from(self.seed);
+        let crowd = crowd.max(1);
+        let responsive = Self::register(backend, crowd)?;
+        let profile = backend.profile_target();
+        let record = Self::measure(backend, stage, &profile, &responsive[..crowd]);
+        Ok(self.execute_epoch(backend, &record, crowd, 1, false, &mut rng))
+    }
+
+    /// CLIENTS REGISTER: the clients that answered the registration probe,
+    /// with their coordinator RTTs, or an error when fewer than `required`
+    /// did.
+    fn register(
+        backend: &mut dyn MfcBackend,
+        required: usize,
+    ) -> Result<Vec<(ClientId, SimDuration)>, MfcError> {
         let registered = backend.registered_clients();
-        let mut responsive: Vec<(ClientId, SimDuration)> = Vec::new();
+        let mut responsive = Vec::new();
         for client in registered {
             if let Some(rtt) = backend.ping(client) {
                 responsive.push((client, rtt));
             }
         }
-        if responsive.len() < crowd.max(1) {
+        if responsive.len() < required {
             return Err(MfcError::NotEnoughClients {
                 available: responsive.len(),
-                required: crowd.max(1),
+                required,
             });
         }
-        let profile = backend.profile_target();
-        let mut clients = Vec::new();
-        for (participant_index, (client, coordinator_rtt)) in
-            responsive.iter().take(crowd.max(1)).enumerate()
-        {
+        Ok(responsive)
+    }
+
+    /// DELAY COMPUTATION: every client measures, one at a time, its RTT to
+    /// the target and the base response time of the object it would
+    /// request in `stage`.  Clients the profile has no request for are
+    /// left out.
+    fn measure(
+        backend: &mut dyn MfcBackend,
+        stage: Stage,
+        profile: &TargetProfile,
+        responsive: &[(ClientId, SimDuration)],
+    ) -> StageRecord {
+        let mut record = StageRecord {
+            stage,
+            clients: Vec::with_capacity(responsive.len()),
+            bases: HashMap::with_capacity(responsive.len()),
+        };
+        for (participant_index, &(client, coordinator_rtt)) in responsive.iter().enumerate() {
             let Some(request) = profile.request_for(stage, participant_index) else {
                 continue;
             };
-            let measurement = backend.measure_base(*client, &request);
-            clients.push((
-                ClientState {
-                    latency: ClientLatency {
-                        client: *client,
-                        coordinator_rtt: *coordinator_rtt,
-                        target_rtt: measurement.target_rtt,
-                    },
+            let measurement = backend.measure_base(client, &request);
+            record.bases.insert(client, measurement.base_response_time);
+            record.clients.push(StageClient {
+                latency: ClientLatency {
+                    client,
+                    coordinator_rtt,
+                    target_rtt: measurement.target_rtt,
                 },
-                participant_index,
-            ));
+                request,
+            });
         }
-        Ok(self.execute_epoch(
-            backend, stage, &profile, &clients, crowd, 1, false, &mut rng,
-        ))
+        record
     }
 
     /// Runs one stage to termination.
     fn run_stage(
         &self,
         backend: &mut dyn MfcBackend,
-        stage: Stage,
-        profile: &TargetProfile,
-        responsive: &[(ClientId, SimDuration)],
+        record: &StageRecord,
         rng: &mut SimRng,
     ) -> StageReport {
-        // DELAY COMPUTATION: every responsive client measures its RTT to the
-        // target and the base response time of the object it would request.
-        let mut clients = Vec::with_capacity(responsive.len());
-        for (participant_index, (client, coordinator_rtt)) in responsive.iter().enumerate() {
-            let Some(request) = profile.request_for(stage, participant_index) else {
-                continue;
-            };
-            let measurement = backend.measure_base(*client, &request);
-            clients.push((
-                ClientState {
-                    latency: ClientLatency {
-                        client: *client,
-                        coordinator_rtt: *coordinator_rtt,
-                        target_rtt: measurement.target_rtt,
-                    },
-                },
-                participant_index,
-            ));
-        }
-        if clients.is_empty() {
+        let stage = record.stage;
+        let clients = record.clients.len();
+        if clients == 0 {
             return StageReport::skipped(stage);
         }
 
         let threshold_ms = self.config.threshold.as_millis_f64();
-        let mut state = StageRun::default();
+        let mut state = StageRun {
+            rng,
+            epochs: Vec::new(),
+            requests_issued: 0,
+            max_crowd_tested: 0,
+            clean_rates: Vec::new(),
+        };
 
         for (epoch_number, crowd) in self.config.crowd_schedule().into_iter().enumerate() {
-            let crowd = crowd.min(clients.len());
-            let summary = self.run_epoch_quiesced(
-                backend,
-                stage,
-                profile,
-                &clients,
-                crowd,
-                epoch_number as u32 + 1,
-                false,
-                rng,
-                &mut state,
-            );
+            let crowd = crowd.min(clients);
+            let index = epoch_number as u32 + 1;
+            let summary = self.run_epoch_quiesced(backend, record, crowd, index, false, &mut state);
             let triggered = summary.detector_ms > threshold_ms;
             state.epochs.push(summary);
             backend.wait(self.config.epoch_gap);
@@ -268,18 +298,9 @@ impl Coordinator {
             let candidates = [crowd.saturating_sub(1).max(1), crowd, crowd + 1];
             let mut confirmed = false;
             for check_crowd in candidates {
-                let check_crowd = check_crowd.min(clients.len());
-                let summary = self.run_epoch_quiesced(
-                    backend,
-                    stage,
-                    profile,
-                    &clients,
-                    check_crowd,
-                    epoch_number as u32 + 1,
-                    true,
-                    rng,
-                    &mut state,
-                );
+                let check_crowd = check_crowd.min(clients);
+                let summary =
+                    self.run_epoch_quiesced(backend, record, check_crowd, index, true, &mut state);
                 let exceeded = summary.detector_ms > threshold_ms;
                 state.epochs.push(summary);
                 backend.wait(self.config.epoch_gap);
@@ -315,31 +336,19 @@ impl Coordinator {
     /// the report for audit, and re-run after the policy's backoff — up to
     /// `max_retries` times (paper §4's "quiet hours", automated).  Without
     /// a policy this is exactly one [`Coordinator::execute_epoch`] call.
-    #[allow(clippy::too_many_arguments)]
     fn run_epoch_quiesced(
         &self,
         backend: &mut dyn MfcBackend,
-        stage: Stage,
-        profile: &TargetProfile,
-        clients: &[(ClientState, usize)],
+        record: &StageRecord,
         crowd: usize,
         index: u32,
         check_phase: bool,
-        rng: &mut SimRng,
-        state: &mut StageRun,
+        state: &mut StageRun<'_>,
     ) -> EpochSummary {
         let mut attempts = 0u32;
         loop {
-            let (mut summary, _) = self.execute_epoch(
-                backend,
-                stage,
-                profile,
-                clients,
-                crowd,
-                index,
-                check_phase,
-                rng,
-            );
+            let (mut summary, _) =
+                self.execute_epoch(backend, record, crowd, index, check_phase, state.rng);
             state.requests_issued += summary.requests_scheduled;
             state.max_crowd_tested = state.max_crowd_tested.max(summary.crowd_size);
             let surged = match (&self.config.quiescence, summary.background_rate) {
@@ -375,14 +384,13 @@ impl Coordinator {
         }
     }
 
-    /// Schedules, executes and summarizes a single epoch.
-    #[allow(clippy::too_many_arguments)]
+    /// Schedules, executes and summarizes a single epoch.  The summary is
+    /// normalized against the record's bases; the returned observation is
+    /// the backend's raw report.
     fn execute_epoch(
         &self,
         backend: &mut dyn MfcBackend,
-        stage: Stage,
-        profile: &TargetProfile,
-        clients: &[(ClientState, usize)],
+        record: &StageRecord,
         crowd: usize,
         index: u32,
         check_phase: bool,
@@ -391,63 +399,59 @@ impl Coordinator {
         // Participants are chosen at random each epoch so that an observed
         // degradation reflects the crowd size, not the local conditions of
         // any fixed subset of clients (paper §2.3).
-        let participants = rng.sample(clients, crowd.min(clients.len()).max(1));
+        let clients: Vec<&StageClient> = record.clients.iter().collect();
+        let participants = rng.sample(&clients, crowd.min(clients.len()).max(1));
 
         let scheduler = match self.config.stagger {
             Some(spacing) => SyncScheduler::staggered(self.config.schedule_lead, spacing),
             None => SyncScheduler::simultaneous(self.config.schedule_lead),
         };
-        let latencies: Vec<ClientLatency> = participants.iter().map(|(c, _)| c.latency).collect();
+        let latencies: Vec<ClientLatency> = participants.iter().map(|c| c.latency).collect();
         let scheduled = scheduler.schedule(&latencies);
 
         let mut commands = Vec::new();
-        for (slot, (state, participant_index)) in participants.iter().enumerate() {
-            let Some(request) = profile.request_for(stage, *participant_index) else {
-                continue;
-            };
+        for (participant, slot) in participants.iter().zip(&scheduled) {
             // MFC-mr: the same client opens several parallel connections.
             for _ in 0..self.config.requests_per_client {
                 commands.push(RequestCommand {
-                    client: state.latency.client,
-                    request: request.clone(),
-                    send_offset: scheduled[slot].send_offset,
-                    intended_arrival: scheduled[slot].intended_arrival,
+                    client: participant.latency.client,
+                    request: participant.request.clone(),
+                    send_offset: slot.send_offset,
+                    intended_arrival: slot.intended_arrival,
                 });
             }
         }
 
         let plan = EpochPlan {
-            stage,
+            stage: record.stage,
             index,
             commands,
             timeout: self.config.client_timeout,
         };
         let observation = backend.run_epoch(&plan);
 
-        let normalized = observation.normalized_ms();
-        let quantile = match stage {
+        // Normalized response times of every sample, overall and per
+        // vantage group.  A skewed group profile (one group far above θ,
+        // the rest flat) is the remote fingerprint of a shared *path*
+        // bottleneck rather than a server constraint.
+        let mut normalized = Vec::with_capacity(observation.observations.len());
+        let mut by_group: std::collections::BTreeMap<u32, Vec<f64>> =
+            std::collections::BTreeMap::new();
+        for o in &observation.observations {
+            if o.status.produced_sample() {
+                let ms = record.normalized_ms(o);
+                normalized.push(ms);
+                by_group.entry(o.group).or_default().push(ms);
+            }
+        }
+        let quantile = match record.stage {
             Stage::LargeObject => self.config.large_object_quantile,
-            _ => stage.detection_quantile(),
+            stage => stage.detection_quantile(),
         };
         let detector_ms = stats::percentile(&normalized, quantile).unwrap_or(0.0);
         let median_ms = stats::median(&normalized).unwrap_or(0.0);
         let arrival_spread_90 =
             mfc_webserver::request::central_spread(&observation.target_arrivals, 0.9);
-
-        // Vantage-aware localization input: the per-group medians of the
-        // normalized response times.  A skewed profile (one group far above
-        // θ, the rest flat) is the remote fingerprint of a shared *path*
-        // bottleneck rather than a server constraint.
-        let mut by_group: std::collections::BTreeMap<u32, Vec<f64>> =
-            std::collections::BTreeMap::new();
-        for o in &observation.observations {
-            if o.status.produced_sample() {
-                by_group
-                    .entry(o.group)
-                    .or_default()
-                    .push(o.normalized().as_millis_f64());
-            }
-        }
         let group_median_ms: Vec<(u32, f64)> = if by_group.len() > 1 {
             by_group
                 .iter()
@@ -459,11 +463,7 @@ impl Coordinator {
 
         // Defense-fingerprint observables (used by the inference layer to
         // tell a fighting-back server from a genuinely constrained one).
-        let samples = observation
-            .observations
-            .iter()
-            .filter(|o| o.status.produced_sample())
-            .count();
+        let samples = normalized.len();
         let errors = observation
             .observations
             .iter()
@@ -1086,8 +1086,9 @@ mod tests {
                     group: 0,
                     status: crate::types::ProbeStatus::Ok,
                     bytes: 0,
+                    // Raw time: the coordinator subtracts the 20 ms base
+                    // that `measure_base` reported.
                     response_time: normalized + SimDuration::from_millis(20),
-                    base_response_time: SimDuration::from_millis(20),
                 })
                 .collect();
             self.clock += SimDuration::from_secs(30);
@@ -1204,6 +1205,116 @@ mod tests {
             report.inference.cause_of(Stage::Base),
             Some(crate::inference::DegradationCause::BackgroundInterference)
         );
+    }
+
+    #[test]
+    fn normalization_subtracts_the_base_and_floors_at_zero() {
+        let record = StageRecord {
+            stage: Stage::Base,
+            clients: Vec::new(),
+            bases: HashMap::from([(ClientId(1), SimDuration::from_millis(100))]),
+        };
+        let observation = |client, ms| ClientObservation {
+            client: ClientId(client),
+            group: 0,
+            status: crate::types::ProbeStatus::Ok,
+            bytes: 10,
+            response_time: SimDuration::from_millis(ms),
+        };
+        assert_eq!(record.normalized_ms(&observation(1, 80)), 0.0);
+        assert!((record.normalized_ms(&observation(1, 250)) - 150.0).abs() < 1e-9);
+        assert!((record.normalized_ms(&observation(1, 10_100)) - 10_000.0).abs() < 1e-9);
+        // A client without a base normalizes against zero.
+        assert!((record.normalized_ms(&observation(2, 250)) - 250.0).abs() < 1e-9);
+    }
+
+    /// A scripted backend for the base rule: each `measure_base` call
+    /// reports a base 10 ms longer than the call before, and every probe
+    /// of an epoch reports the same raw response time.  Each epoch also
+    /// carries one failed probe with an hour-long time, which must never
+    /// reach the detector.
+    struct DriftingBaseBackend {
+        measurements: u64,
+        raw: SimDuration,
+    }
+
+    impl crate::backend::MfcBackend for DriftingBaseBackend {
+        fn registered_clients(&mut self) -> Vec<ClientId> {
+            (0..5).map(ClientId).collect()
+        }
+
+        fn ping(&mut self, _client: ClientId) -> Option<SimDuration> {
+            Some(SimDuration::from_millis(20))
+        }
+
+        fn measure_base(
+            &mut self,
+            _client: ClientId,
+            _request: &crate::types::RequestSpec,
+        ) -> crate::backend::BaseMeasurement {
+            self.measurements += 1;
+            crate::backend::BaseMeasurement {
+                target_rtt: SimDuration::from_millis(20),
+                base_response_time: SimDuration::from_millis(10 * self.measurements),
+                status: crate::types::ProbeStatus::Ok,
+                bytes: 0,
+            }
+        }
+
+        fn run_epoch(&mut self, plan: &EpochPlan) -> EpochObservation {
+            let probe = |client, status, response_time| ClientObservation {
+                client,
+                group: 0,
+                status,
+                bytes: 0,
+                response_time,
+            };
+            let mut observations: Vec<ClientObservation> = plan
+                .commands
+                .iter()
+                .map(|c| probe(c.client, crate::types::ProbeStatus::Ok, self.raw))
+                .collect();
+            observations.push(probe(
+                plan.commands[0].client,
+                crate::types::ProbeStatus::Failed,
+                SimDuration::from_secs(3600),
+            ));
+            EpochObservation {
+                observations,
+                ..EpochObservation::default()
+            }
+        }
+
+        fn profile_target(&mut self) -> TargetProfile {
+            TargetProfile::from_objects("/index.html", Vec::<crate::profile::ObjectInfo>::new())
+        }
+    }
+
+    #[test]
+    fn each_probe_normalizes_against_its_own_base_measurements() {
+        let mut backend = DriftingBaseBackend {
+            measurements: 0,
+            raw: SimDuration::from_millis(500),
+        };
+        let coordinator = Coordinator::new(MfcConfig::standard().with_min_clients(5));
+        // First call: bases 10..50 ms, normalized 490..450 ms.
+        let (first, raw_first) = coordinator
+            .probe_crowd(&mut backend, Stage::Base, 5)
+            .unwrap();
+        // Second call re-measures the same clients: bases 60..100 ms.
+        let (second, raw_second) = coordinator
+            .probe_crowd(&mut backend, Stage::Base, 5)
+            .unwrap();
+        assert!((first.median_ms - 470.0).abs() < 1e-9, "{first:?}");
+        assert!((second.median_ms - 420.0).abs() < 1e-9, "{second:?}");
+        // The failed probe is observed but produces no sample.
+        assert_eq!(first.requests_observed, 6);
+        // probe_crowd hands back the backend's raw times.
+        for observation in [&raw_first, &raw_second] {
+            assert!(observation.observations[..5]
+                .iter()
+                .all(|o| o.response_time == SimDuration::from_millis(500)));
+        }
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! * **Large Objects** — static files of at least 100 KB, big enough for
 //!   TCP to exit slow start and saturate the path, used by the Large Object
 //!   stage;
-//! * **Small Queries** — dynamically generated URLs whose responses are
-//!   under 15 KB, cheap to transfer but expensive to produce, used by the
+//! * **Small Queries** — dynamically generated URLs whose responses are at
+//!   most 15 KB, cheap to transfer but expensive to produce, used by the
 //!   Small Query stage.
 //!
 //! The Base stage needs no profiling: it issues HEAD requests for the base
@@ -26,11 +26,8 @@ use serde::{Deserialize, Serialize};
 
 use crate::types::{ProbeMethod, RequestSpec, Stage};
 
-/// Lower bound for the Large Objects group (paper §2.2.1).
-pub const LARGE_OBJECT_MIN_BYTES: u64 = 100 * 1024;
-
-/// Upper bound for the Small Queries group (paper §2.2.1).
-pub const SMALL_QUERY_MAX_BYTES: u64 = 15 * 1024;
+/// The §2.2.1 size bounds, defined once next to the server's content model.
+pub use mfc_webserver::content::{LARGE_OBJECT_MIN_BYTES, SMALL_QUERY_MAX_BYTES};
 
 /// Content classes used by the profiler's heuristics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]

@@ -170,19 +170,10 @@ pub struct ClientObservation {
     pub status: ProbeStatus,
     /// Body bytes received.
     pub bytes: u64,
-    /// Observed response time for this request.
+    /// Observed (raw) response time for this request.  The coordinator
+    /// normalizes it against the client's base response time; backends
+    /// never subtract a base.
     pub response_time: SimDuration,
-    /// The same client's base (unloaded) response time for the same
-    /// request, measured before the epochs started.
-    pub base_response_time: SimDuration,
-}
-
-impl ClientObservation {
-    /// The normalized response time: observed minus base, floored at zero
-    /// (paper §2.2.3).
-    pub fn normalized(&self) -> SimDuration {
-        self.response_time.saturating_sub(self.base_response_time)
-    }
 }
 
 /// What a backend reports after executing an [`EpochPlan`].
@@ -204,18 +195,6 @@ pub struct EpochObservation {
     /// instrumented (always available in simulation; the paper obtained the
     /// equivalent from `atop` on cooperating servers, §3.2).
     pub server_utilization: Option<mfc_webserver::UtilizationReport>,
-}
-
-impl EpochObservation {
-    /// Normalized response times of every observation that produced a
-    /// sample, in milliseconds (the unit the detector thresholds use).
-    pub fn normalized_ms(&self) -> Vec<f64> {
-        self.observations
-            .iter()
-            .filter(|o| o.status.produced_sample())
-            .map(|o| o.normalized().as_millis_f64())
-            .collect()
-    }
 }
 
 /// Summary of one executed epoch kept in the final report.
@@ -345,24 +324,6 @@ mod tests {
     }
 
     #[test]
-    fn normalized_response_time_floors_at_zero() {
-        let obs = ClientObservation {
-            client: ClientId(1),
-            group: 0,
-            status: ProbeStatus::Ok,
-            bytes: 10,
-            response_time: SimDuration::from_millis(80),
-            base_response_time: SimDuration::from_millis(100),
-        };
-        assert_eq!(obs.normalized(), SimDuration::ZERO);
-        let obs = ClientObservation {
-            response_time: SimDuration::from_millis(250),
-            ..obs
-        };
-        assert_eq!(obs.normalized(), SimDuration::from_millis(150));
-    }
-
-    #[test]
     fn epoch_plan_counts_distinct_clients() {
         let spec = RequestSpec {
             method: ProbeMethod::Get,
@@ -394,30 +355,6 @@ mod tests {
         assert!(ProbeStatus::HttpError(503).produced_sample());
         assert!(ProbeStatus::ConnectionRefused.produced_sample());
         assert!(!ProbeStatus::Failed.produced_sample());
-    }
-
-    #[test]
-    fn epoch_observation_filters_failed_commands() {
-        let make = |status, ms| ClientObservation {
-            client: ClientId(0),
-            group: 0,
-            status,
-            bytes: 0,
-            response_time: SimDuration::from_millis(ms),
-            base_response_time: SimDuration::from_millis(10),
-        };
-        let obs = EpochObservation {
-            observations: vec![
-                make(ProbeStatus::Ok, 110),
-                make(ProbeStatus::Failed, 500),
-                make(ProbeStatus::TimedOut, 10_010),
-            ],
-            ..EpochObservation::default()
-        };
-        let normalized = obs.normalized_ms();
-        assert_eq!(normalized.len(), 2);
-        assert!((normalized[0] - 100.0).abs() < 1e-9);
-        assert!((normalized[1] - 10_000.0).abs() < 1e-9);
     }
 
     #[test]

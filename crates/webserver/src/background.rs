@@ -11,22 +11,26 @@
 //! The heavy lifting now lives in `mfc-workload`: [`BackgroundTraffic`] is
 //! a thin adapter that expresses the original flat-Poisson background as
 //! the degenerate [`WorkloadSpec`] (one constant-rate source with a
-//! class-mix request model) and streams it through the same
-//! [`WorkloadStream`] every richer workload uses.  The adapter is
-//! *bit-compatible* with the pre-workload generator — same draws from the
-//! same RNG in the same order — which the pin tests at the bottom of this
-//! file hold it to.
+//! class-mix request model), streamed through the same [`WorkloadStream`]
+//! every richer workload uses.  Driven by
+//! [`WorkloadStream::with_source_rngs`] with the caller's RNG as its one
+//! source RNG, the stream is *bit-compatible* with the pre-workload
+//! generator — same draws from the same RNG in the same order — which the
+//! pin tests at the bottom of this file hold it to.
 //!
 //! [`CatalogSampler`] is the bridge for every workload, not just this one:
 //! it maps the abstract request intents a [`WorkloadStream`] emits (mix
 //! draws, session page views, trace entries) onto concrete
 //! [`ServerRequest`]s against a server's [`ContentCatalog`].
+//!
+//! [`WorkloadStream`]: mfc_workload::WorkloadStream
+//! [`WorkloadStream::with_source_rngs`]: mfc_workload::WorkloadStream::with_source_rngs
 
-use mfc_simcore::{SimDuration, SimRng, SimTime};
+use mfc_simcore::{SimDuration, SimRng};
 use mfc_simnet::Bandwidth;
 use mfc_workload::{
     ClientSpec, MixWeights, RequestContext, RequestIntent, RequestKind, RequestSampler,
-    WorkloadSpec, WorkloadStream,
+    WorkloadSpec,
 };
 use serde::{Deserialize, Serialize};
 
@@ -76,6 +80,31 @@ impl BackgroundTraffic {
 
     /// The equivalent [`WorkloadSpec`]: one constant-rate Poisson source
     /// with this mix and client profile.
+    ///
+    /// # Examples
+    ///
+    /// A minute of flat background traffic, streamed the way the
+    /// simulation backend streams it into every epoch:
+    ///
+    /// ```
+    /// use mfc_simcore::{SimDuration, SimRng, SimTime};
+    /// use mfc_webserver::{BackgroundTraffic, CatalogSampler, ContentCatalog, WorkloadStream};
+    ///
+    /// let catalog = ContentCatalog::typical_site(1);
+    /// let spec = BackgroundTraffic::at_rate(5.0).workload_spec();
+    /// let arrivals: Vec<_> = WorkloadStream::with_source_rngs(
+    ///     &spec,
+    ///     SimTime::ZERO,
+    ///     SimTime::ZERO + SimDuration::from_secs(60),
+    ///     1_000_000,
+    ///     vec![SimRng::seed_from(9)],
+    ///     CatalogSampler::background(&catalog),
+    /// )
+    /// .collect();
+    /// // ~300 requests expected over a minute at 5 req/s.
+    /// assert!(arrivals.len() > 200 && arrivals.len() < 400);
+    /// assert!(arrivals.iter().all(|r| r.background));
+    /// ```
     pub fn workload_spec(&self) -> WorkloadSpec {
         WorkloadSpec::poisson_mix(
             self.rate_per_sec,
@@ -85,62 +114,6 @@ impl BackgroundTraffic {
                 rtt: self.client_rtt,
             },
         )
-    }
-
-    /// Generates the background arrivals falling inside `[start, end)`.
-    ///
-    /// Request ids start at `id_base` so callers can keep them disjoint
-    /// from MFC request ids.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use mfc_simcore::{SimDuration, SimRng, SimTime};
-    /// use mfc_webserver::{BackgroundTraffic, ContentCatalog};
-    ///
-    /// let catalog = ContentCatalog::typical_site(1);
-    /// let bg = BackgroundTraffic::at_rate(5.0);
-    /// let mut rng = SimRng::seed_from(9);
-    /// let arrivals = bg.generate(
-    ///     &catalog,
-    ///     SimTime::ZERO,
-    ///     SimTime::ZERO + SimDuration::from_secs(60),
-    ///     1_000_000,
-    ///     &mut rng,
-    /// );
-    /// // ~300 requests expected over a minute at 5 req/s.
-    /// assert!(arrivals.len() > 200 && arrivals.len() < 400);
-    /// assert!(arrivals.iter().all(|r| r.background));
-    /// ```
-    pub fn generate(
-        &self,
-        catalog: &ContentCatalog,
-        start: SimTime,
-        end: SimTime,
-        id_base: u64,
-        rng: &mut SimRng,
-    ) -> Vec<ServerRequest> {
-        if self.rate_per_sec <= 0.0 || end <= start {
-            return Vec::new();
-        }
-        let spec = self.workload_spec();
-        let sampler = CatalogSampler::background(catalog);
-        let mut stream = WorkloadStream::with_source_rngs(
-            &spec,
-            start,
-            end,
-            id_base,
-            vec![rng.clone()],
-            sampler,
-        );
-        let requests: Vec<ServerRequest> = stream.by_ref().collect();
-        // Hand the advanced RNG back so the caller's stream position is
-        // exactly where the pre-workload generator would have left it.
-        *rng = stream
-            .into_source_rngs()
-            .pop()
-            .expect("the degenerate spec has one source");
-        requests
     }
 }
 
@@ -301,18 +274,43 @@ impl RequestSampler for CatalogSampler<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mfc_workload::{ArrivalProcess, RequestModel, SessionModel, SourceKind, SourceSpec};
+    use mfc_simcore::SimTime;
+    use mfc_workload::{
+        ArrivalProcess, RequestModel, SessionModel, SourceKind, SourceSpec, WorkloadStream,
+    };
 
     fn window() -> (SimTime, SimTime) {
         (SimTime::ZERO, SimTime::ZERO + SimDuration::from_secs(120))
+    }
+
+    /// Streams the flat background over `[start, end)` with `rng` as its
+    /// one source RNG — the call the simulation backend makes per epoch.
+    fn stream(
+        bg: &BackgroundTraffic,
+        catalog: &ContentCatalog,
+        start: SimTime,
+        end: SimTime,
+        id_base: u64,
+        rng: SimRng,
+    ) -> Vec<ServerRequest> {
+        let spec = bg.workload_spec();
+        WorkloadStream::with_source_rngs(
+            &spec,
+            start,
+            end,
+            id_base,
+            vec![rng],
+            CatalogSampler::background(catalog),
+        )
+        .collect()
     }
 
     #[test]
     fn idle_generates_nothing() {
         let catalog = ContentCatalog::typical_site(1);
         let (start, end) = window();
-        let mut rng = SimRng::seed_from(1);
-        let arrivals = BackgroundTraffic::idle().generate(&catalog, start, end, 0, &mut rng);
+        let rng = SimRng::seed_from(1);
+        let arrivals = stream(&BackgroundTraffic::idle(), &catalog, start, end, 0, rng);
         assert!(arrivals.is_empty());
     }
 
@@ -320,8 +318,15 @@ mod tests {
     fn rate_is_approximately_respected() {
         let catalog = ContentCatalog::typical_site(1);
         let (start, end) = window();
-        let mut rng = SimRng::seed_from(2);
-        let arrivals = BackgroundTraffic::at_rate(10.0).generate(&catalog, start, end, 0, &mut rng);
+        let rng = SimRng::seed_from(2);
+        let arrivals = stream(
+            &BackgroundTraffic::at_rate(10.0),
+            &catalog,
+            start,
+            end,
+            0,
+            rng,
+        );
         let expected = 10.0 * 120.0;
         let n = arrivals.len() as f64;
         assert!((n - expected).abs() < expected * 0.2, "got {n} arrivals");
@@ -331,8 +336,15 @@ mod tests {
     fn arrivals_are_ordered_and_inside_window() {
         let catalog = ContentCatalog::typical_site(1);
         let (start, end) = window();
-        let mut rng = SimRng::seed_from(3);
-        let arrivals = BackgroundTraffic::at_rate(4.2).generate(&catalog, start, end, 0, &mut rng);
+        let rng = SimRng::seed_from(3);
+        let arrivals = stream(
+            &BackgroundTraffic::at_rate(4.2),
+            &catalog,
+            start,
+            end,
+            0,
+            rng,
+        );
         for pair in arrivals.windows(2) {
             assert!(pair[0].arrival <= pair[1].arrival);
         }
@@ -345,9 +357,15 @@ mod tests {
     fn ids_start_at_base_and_are_unique() {
         let catalog = ContentCatalog::typical_site(1);
         let (start, end) = window();
-        let mut rng = SimRng::seed_from(4);
-        let arrivals =
-            BackgroundTraffic::at_rate(5.0).generate(&catalog, start, end, 7_000, &mut rng);
+        let rng = SimRng::seed_from(4);
+        let arrivals = stream(
+            &BackgroundTraffic::at_rate(5.0),
+            &catalog,
+            start,
+            end,
+            7_000,
+            rng,
+        );
         assert!(arrivals.iter().all(|r| r.id >= 7_000));
         let mut ids: Vec<u64> = arrivals.iter().map(|r| r.id).collect();
         ids.sort_unstable();
@@ -359,8 +377,15 @@ mod tests {
     fn paths_exist_in_catalog() {
         let catalog = ContentCatalog::typical_site(1);
         let (start, end) = window();
-        let mut rng = SimRng::seed_from(5);
-        let arrivals = BackgroundTraffic::at_rate(8.0).generate(&catalog, start, end, 0, &mut rng);
+        let rng = SimRng::seed_from(5);
+        let arrivals = stream(
+            &BackgroundTraffic::at_rate(8.0),
+            &catalog,
+            start,
+            end,
+            0,
+            rng,
+        );
         for r in &arrivals {
             assert!(
                 catalog.lookup(&r.path).is_some(),
@@ -374,8 +399,15 @@ mod tests {
     fn mix_produces_multiple_classes() {
         let catalog = ContentCatalog::typical_site(1);
         let (start, end) = window();
-        let mut rng = SimRng::seed_from(6);
-        let arrivals = BackgroundTraffic::at_rate(20.0).generate(&catalog, start, end, 0, &mut rng);
+        let rng = SimRng::seed_from(6);
+        let arrivals = stream(
+            &BackgroundTraffic::at_rate(20.0),
+            &catalog,
+            start,
+            end,
+            0,
+            rng,
+        );
         let dynamic = arrivals
             .iter()
             .filter(|r| r.class == RequestClass::Dynamic)
@@ -392,18 +424,17 @@ mod tests {
     fn same_seed_same_trace() {
         let catalog = ContentCatalog::typical_site(1);
         let (start, end) = window();
-        let mut rng_a = SimRng::seed_from(7);
-        let mut rng_b = SimRng::seed_from(7);
-        let a = BackgroundTraffic::at_rate(3.0).generate(&catalog, start, end, 0, &mut rng_a);
-        let b = BackgroundTraffic::at_rate(3.0).generate(&catalog, start, end, 0, &mut rng_b);
+        let bg = BackgroundTraffic::at_rate(3.0);
+        let a = stream(&bg, &catalog, start, end, 0, SimRng::seed_from(7));
+        let b = stream(&bg, &catalog, start, end, 0, SimRng::seed_from(7));
         assert_eq!(a, b);
     }
 
     // ---------------------------------------------------------------
-    // The compatibility pin: the adapter must reproduce the
-    // pre-workload generator bit for bit — same requests *and* the same
-    // final RNG state.  `reference_generate` below is a verbatim copy of
-    // the generator this adapter replaced.
+    // The compatibility pin: the flat spec, streamed the way the
+    // simulation backend streams it, must reproduce the pre-workload
+    // generator's requests bit for bit.  `reference_generate` below is a
+    // verbatim copy of the generator this adapter replaced.
     // ---------------------------------------------------------------
 
     fn reference_sample_request(
@@ -541,21 +572,13 @@ mod tests {
                     };
                     let start = SimTime::ZERO + SimDuration::from_secs(seed);
                     let end = start + SimDuration::from_secs(window_secs);
-                    let mut rng_new = SimRng::seed_from(seed * 1000 + rate as u64);
-                    let mut rng_ref = rng_new.clone();
-                    let new = bg.generate(catalog, start, end, id_base, &mut rng_new);
+                    let mut rng_ref = SimRng::seed_from(seed * 1000 + rate as u64);
+                    let new = stream(&bg, catalog, start, end, id_base, rng_ref.clone());
                     let reference =
                         reference_generate(&bg, catalog, start, end, id_base, &mut rng_ref);
                     assert_eq!(
                         new, reference,
                         "adapter diverged (catalog {catalog_index}, mix {mix_index}, \
-                         seed {seed}, rate {rate})"
-                    );
-                    // The caller's RNG must also end in the same state.
-                    assert_eq!(
-                        rng_new.next_u64(),
-                        rng_ref.next_u64(),
-                        "RNG state diverged (catalog {catalog_index}, mix {mix_index}, \
                          seed {seed}, rate {rate})"
                     );
                 }

@@ -1,10 +1,10 @@
 //! The content hosted by a simulated server.
 //!
 //! The MFC profiling step crawls a target site and buckets what it finds
-//! into *Large Objects* (static files over 100 KB — used to exercise the
-//! access link) and *Small Queries* (dynamic URLs with responses under
-//! 15 KB — used to exercise the back-end), plus the base page used for the
-//! Base stage's HEAD requests (paper §2.2.1).  [`ContentCatalog`] is the
+//! into *Large Objects* (static files of at least 100 KB — used to exercise
+//! the access link) and *Small Queries* (dynamic URLs with responses of at
+//! most 15 KB — used to exercise the back-end), plus the base page used for
+//! the Base stage's HEAD requests (paper §2.2.1).  [`ContentCatalog`] is the
 //! simulated equivalent of "what a crawl of this site would discover".
 
 use serde::{Deserialize, Serialize};
@@ -78,16 +78,18 @@ impl ObjectSpec {
     }
 
     /// Returns `true` if this object qualifies as a *Small Query* per the
-    /// paper's rules: a dynamic URL whose response is under 15 KB.
+    /// paper's rules: a dynamic URL whose response is at most 15 KB.
     pub fn is_small_query(&self) -> bool {
         self.kind.is_dynamic() && self.size_bytes <= SMALL_QUERY_MAX_BYTES
     }
 }
 
-/// Lower size bound for the Large Objects class (paper §2.2.1: > 100 KB).
+/// Lower size bound for the Large Objects class (paper §2.2.1): an object
+/// qualifies at 100 KB or more.
 pub const LARGE_OBJECT_MIN_BYTES: u64 = 100 * 1024;
 
-/// Upper size bound for the Small Queries class (paper §2.2.1: < 15 KB).
+/// Upper size bound for the Small Queries class (paper §2.2.1): a response
+/// qualifies at 15 KB or less.
 pub const SMALL_QUERY_MAX_BYTES: u64 = 15 * 1024;
 
 /// Everything a crawl of the simulated site would discover.

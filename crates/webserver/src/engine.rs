@@ -29,8 +29,6 @@
 //! pools, memory overcommit, link sharing — emerges from this pipeline; the
 //! MFC layer above only ever sees the resulting response times.
 
-use std::collections::VecDeque;
-
 use mfc_simcore::{EventHandle, EventQueue, SimDuration, SimTime, TimeWeighted};
 use mfc_simnet::{Bandwidth, FlowId};
 use mfc_topology::{BuiltTopology, TopologySpec};
@@ -288,8 +286,8 @@ pub struct EngineSession<'a> {
     cache: CacheState,
     queue: EventQueue<Event>,
     requests: Vec<InFlight>,
+    /// Worker slots; the pool's wait queue is the listen queue.
     workers: SlotPool,
-    listen_queue: VecDeque<usize>,
     handler_pool: SlotPool,
     db_pool: SlotPool,
     cpu: PsResource,
@@ -358,7 +356,6 @@ impl<'a> EngineSession<'a> {
             queue: EventQueue::new(),
             requests: Vec::new(),
             workers: SlotPool::new(config.workers.max_workers),
-            listen_queue: VecDeque::new(),
             handler_pool: SlotPool::new(handler_capacity),
             db_pool: SlotPool::new(config.database.max_concurrent_queries),
             cpu: PsResource::new(cpu_capacity, config.hardware.cpu_speed.max(f64::EPSILON)),
@@ -456,7 +453,7 @@ impl<'a> EngineSession<'a> {
 
     /// Connections waiting in the listen queue right now.
     pub fn queued(&self) -> usize {
-        self.listen_queue.len()
+        self.workers.queued()
     }
 
     /// Instantaneous CPU utilization in 0–1.
@@ -555,11 +552,11 @@ impl<'a> EngineSession<'a> {
             self.complete(idx, RequestStatus::NotFound, self.now, 0);
             return;
         }
-        if self.workers.try_acquire(idx as u64) {
+        if self.workers.try_acquire() {
             self.admit(idx);
-        } else if self.listen_queue.len() < self.config.workers.listen_queue as usize {
+        } else if self.workers.queued() < self.config.workers.listen_queue as usize {
             self.requests[idx].phase = Phase::AwaitWorker;
-            self.listen_queue.push_back(idx);
+            self.workers.enqueue(idx as u64);
         } else {
             self.refused += 1;
             self.complete(idx, RequestStatus::Refused, self.now, 0);
@@ -629,7 +626,7 @@ impl<'a> EngineSession<'a> {
                     let service_secs = self.config.hardware.disk_seek.as_secs_f64()
                         + size as f64 / self.config.hardware.disk_bandwidth;
                     let service = SimDuration::from_secs_f64(service_secs * self.memory.slowdown());
-                    let delay = self.disk.enqueue(idx as u64, self.now, service);
+                    let delay = self.disk.enqueue(self.now, service);
                     self.queue.schedule(self.now + delay, Event::DiskDone(idx));
                 }
             }
@@ -671,7 +668,7 @@ impl<'a> EngineSession<'a> {
                         self.cpu.add_task(idx as u64, work, self.now);
                     }
                     DynamicHandler::PersistentPool { .. } => {
-                        if self.handler_pool.try_acquire(idx as u64) {
+                        if self.handler_pool.try_acquire() {
                             self.requests[idx].holds_handler = true;
                             self.enter_db_stage(idx);
                         } else {
@@ -687,7 +684,7 @@ impl<'a> EngineSession<'a> {
     /// The request has a handler (forked or pooled) and now needs a
     /// database connection.
     fn enter_db_stage(&mut self, idx: usize) {
-        if self.db_pool.try_acquire(idx as u64) {
+        if self.db_pool.try_acquire() {
             self.requests[idx].holds_db = true;
             self.start_db_work(idx);
         } else {
@@ -796,26 +793,9 @@ impl<'a> EngineSession<'a> {
             self.requests[idx].fork_memory = 0;
         }
         self.sample_gauges();
-        match self.workers.release_and_next() {
-            Some(_) => {
-                // The released slot passes to the head of the listen queue.
-                if let Some(next_idx) = self.listen_queue.pop_front() {
-                    self.admit(next_idx);
-                } else {
-                    // The SlotPool's own queue is only used for handler and
-                    // DB pools; worker admission uses `listen_queue`, so a
-                    // Some here without a queued connection cannot happen.
-                    unreachable!("worker handoff without a queued connection");
-                }
-            }
-            None => {
-                if let Some(next_idx) = self.listen_queue.pop_front() {
-                    // A slot is free again; take it for the queued request.
-                    let acquired = self.workers.try_acquire(next_idx as u64);
-                    debug_assert!(acquired, "a just-released worker slot must be free");
-                    self.admit(next_idx);
-                }
-            }
+        // The released slot passes to the head of the listen queue.
+        if let Some(next) = self.workers.release_and_next() {
+            self.admit(next as usize);
         }
     }
 

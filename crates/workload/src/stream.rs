@@ -190,9 +190,9 @@ impl<'a, S: RequestSampler> WorkloadStream<'a, S> {
     }
 
     /// Opens the stream with explicit per-source RNGs (one per source, in
-    /// order).  The `BackgroundTraffic` adapter uses this to drive its
-    /// single source from the caller's RNG, preserving the pre-workload
-    /// draw sequence bit for bit.
+    /// order).  The simulation backend uses this to drive the flat
+    /// `BackgroundTraffic` model's single source from the epoch's RNG,
+    /// preserving the pre-workload draw sequence bit for bit.
     ///
     /// # Panics
     ///
@@ -263,12 +263,6 @@ impl<'a, S: RequestSampler> WorkloadStream<'a, S> {
             }
         }
         stream
-    }
-
-    /// Hands the per-source RNGs back (advanced by every draw the stream
-    /// made), in source order.  Consumes the stream.
-    pub fn into_source_rngs(self) -> Vec<SimRng> {
-        self.sources.into_iter().map(|s| s.rng).collect()
     }
 
     /// Requests emitted so far.
@@ -638,7 +632,7 @@ a - - [10/Oct/2000:00:01:40 +0000] "GET /b.html HTTP/1.0" 200 100
     }
 
     #[test]
-    fn same_seed_same_stream_and_rngs_round_trip() {
+    fn same_seed_same_stream() {
         let spec = WorkloadSpec::sessions(
             ArrivalProcess::diurnal(1.0, 0.7, 120.0, 8),
             SessionModel::browsing(),
@@ -647,12 +641,6 @@ a - - [10/Oct/2000:00:01:40 +0000] "GET /b.html HTTP/1.0" 200 100
         let a = collect(&spec, 300, 9);
         let b = collect(&spec, 300, 9);
         assert_eq!(a, b);
-        // into_source_rngs hands back one RNG per source.
-        let (start, end) = window(10);
-        let master = SimRng::seed_from(9);
-        let mut stream = WorkloadStream::new(&spec, start, end, 0, &master, KindSampler);
-        while stream.next().is_some() {}
-        assert_eq!(stream.into_source_rngs().len(), 1);
     }
 
     #[test]
